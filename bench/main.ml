@@ -16,6 +16,8 @@
    runs first — relative thresholds per metric family — exiting
    nonzero if any experiment regressed. *)
 
+module Leon2 = Dse.Leon2.S
+
 let ppf = Format.std_formatter
 
 let fig1 () = Dse.Report.print_fig1 ppf
@@ -30,21 +32,21 @@ let fig4 () = Dse.Report.print_fig4 ppf (Dse.Report.run_fig4 ())
 let fig5 () = Dse.Report.print_fig5 ppf (Dse.Report.run_fig5 ())
 
 let fig6 () =
-  Dse.Report.print_fig6 ppf (Dse.Measure.build Apps.Registry.blastn)
+  Dse.Report.print_fig6 ppf (Leon2.Measure.build Apps.Registry.blastn)
 
 let fig7 () = Dse.Report.print_fig7 ppf (Dse.Report.run_fig7 ())
 
 let ablation () =
-  Dse.Ablation.print_noise ppf
-    (Dse.Ablation.noise_study ~weights:Dse.Cost.resource_weights
+  Leon2.Ablation.print_noise ppf
+    (Leon2.Ablation.noise_study ~weights:Dse.Cost.resource_weights
        Apps.Registry.blastn);
   Format.printf "@.";
-  Dse.Ablation.print_variants ppf
-    (Dse.Ablation.variant_study ~weights:Dse.Cost.runtime_weights
-       (Dse.Measure.build Apps.Registry.frag));
+  Leon2.Ablation.print_variants ppf
+    (Leon2.Ablation.variant_study ~weights:Dse.Cost.runtime_weights
+       (Leon2.Measure.build Apps.Registry.frag));
   Format.printf "@.";
-  Dse.Ablation.print_independence ppf
-    (Dse.Ablation.independence_study ~weights:Dse.Cost.runtime_weights)
+  Leon2.Ablation.print_independence ppf
+    (Leon2.Ablation.independence_study ~weights:Dse.Cost.runtime_weights)
 
 let energy () =
   Format.printf
@@ -72,10 +74,10 @@ let perf () =
     Test.make ~name:"minic: compile BLASTN" (Staged.stage (fun () ->
         ignore (Minic.Codegen.compile Apps.Blastn.program)))
   in
-  let model = Dse.Measure.build ~dims:Arch.Param.dcache_size_dims Apps.Registry.blastn in
+  let model = Leon2.Measure.build ~dims:Arch.Param.dcache_size_dims Apps.Registry.blastn in
   let solver =
     Test.make ~name:"binlp: dcache model solve" (Staged.stage (fun () ->
-        ignore (Optim.Binlp.solve (Dse.Formulate.make Dse.Cost.runtime_only model))))
+        ignore (Optim.Binlp.solve (Leon2.Formulate.make Dse.Cost.runtime_only model))))
   in
   let cache =
     let c =
@@ -102,10 +104,11 @@ let perf () =
 
 let convex () =
   Format.printf
-    "Convex recast study (paper future work): McCormick + LP-based B&B vs      exact combinatorial B&B@.";
+    "Convex recast study (paper future work): McCormick + LP-based B&B vs \
+     exact combinatorial B&B@.";
   List.iter
     (fun app ->
-      let model = Dse.Measure.build app in
+      let model = Leon2.Measure.build app in
       let s = Dse.Convex.run ~weights:Dse.Cost.runtime_weights model in
       Dse.Convex.print ppf s)
     Apps.Registry.all
@@ -114,27 +117,30 @@ let baselines () =
   Format.printf
     "Heuristic DSE baselines vs the paper's method (w1=100, w2=1)@.";
   Format.printf
-    "(builds = configurations synthesized and executed; the paper budgets      ~30 min each)@.";
+    "(builds = configurations synthesized and executed; the paper budgets \
+     ~30 min each)@.";
   List.iter
     (fun app ->
       let weights = Dse.Cost.runtime_weights in
-      let paper = Dse.Heuristic.paper_method ~weights app in
+      let paper = Leon2.Heuristic.paper_method ~weights app in
       let descent =
-        Dse.Heuristic.coordinate_descent
+        Leon2.Heuristic.coordinate_descent
           ~features:(Apps.Features.of_app app)
           ~weights app
       in
       let random56 =
-        Dse.Heuristic.random_search ~builds:paper.Dse.Heuristic.builds ~weights app
+        Leon2.Heuristic.random_search ~builds:paper.Leon2.Heuristic.builds
+          ~weights app
       in
-      let random200 = Dse.Heuristic.random_search ~builds:200 ~weights app in
-      Dse.Heuristic.print_comparison ppf app.Apps.Registry.name
+      let random200 = Leon2.Heuristic.random_search ~builds:200 ~weights app in
+      Leon2.Heuristic.print_comparison ppf app.Apps.Registry.name
         [ paper; descent; random56; random200 ])
     Apps.Registry.all
 
 let sched () =
   Format.printf
-    "Generic-domain study: DRR scheduler tuning under a 12 KB state budget      (the paper's 'other configuration management problems')@.";
+    "Generic-domain study: DRR scheduler tuning under a 12 KB state budget \
+     (the paper's 'other configuration management problems')@.";
   Format.printf "efficiency-first (weights 100, 1):@.";
   Dse.Sched_tuning.print_outcome ppf
     (Dse.Sched_tuning.Tuner.optimize ~weights:[| 100.0; 1.0 |]);
@@ -188,9 +194,8 @@ let measurements ~wall_ns ~(before : Obs.Metrics.snapshot)
     | Some (Obs.Metrics.Gauge v) -> v
     | _ -> 0.0
   in
-  let wall_s = Int64.to_float wall_ns /. 1e9 in
   [
-    ("wall_clock_s", wall_s);
+    ("wall_clock_s", Int64.to_float wall_ns /. 1e9);
     ("sim_cycles", float_of_int (delta "sim.cycles"));
     ("sim_runs", float_of_int (delta "sim.runs"));
     ("solver_nodes", float_of_int (delta "binlp.nodes"));
@@ -212,21 +217,11 @@ let measurements ~wall_ns ~(before : Obs.Metrics.snapshot)
     ("schedule_solver_nodes", float_of_int (delta "dse.schedule.nodes"));
     (* last verified scheduled-vs-static gain; a gauge, not a delta *)
     ("schedule_gain_pct", gauge "dse.schedule.gain_pct");
-    ( "sim_cycles_per_second",
-      if wall_s > 0.0 then float_of_int (delta "sim.cycles") /. wall_s
-      else 0.0 );
-    ( "binlp_nodes_per_second",
-      if wall_s > 0.0 then float_of_int (delta "binlp.nodes") /. wall_s
-      else 0.0 );
   ]
 
-(* "wall_clock_s" and the derived throughput are floats; every counter
-   delta renders as an int so the JSON stays shaped as before. *)
-let float_keys =
-  [
-    "wall_clock_s"; "sim_cycles_per_second"; "binlp_nodes_per_second";
-    "schedule_gain_pct";
-  ]
+(* "wall_clock_s" and the gain gauge are floats; every counter delta
+   renders as an int so the JSON stays shaped as before. *)
+let float_keys = [ "wall_clock_s"; "schedule_gain_pct" ]
 
 let measurement_json (key, v) =
   if List.mem key float_keys then (key, Obs.Json.Float v)

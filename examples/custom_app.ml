@@ -11,6 +11,8 @@
 
 open Minic.Ast
 
+module Leon2 = Dse.Leon2.S
+
 let message_bytes = 12288
 
 (* Bitwise CRC-32 (reflected, polynomial 0xEDB88320). *)
@@ -85,7 +87,7 @@ let () =
   Format.printf "crc32 checksum: %#x (interpreter and simulator agree)@.@."
     got;
 
-  let outcome = Dse.Optimizer.run ~weights:Dse.Cost.runtime_weights app in
+  let outcome = Leon2.Optimizer.run ~weights:Dse.Cost.runtime_weights app in
   Format.printf "Recommended configuration for crc32:@.%a@.@." Arch.Config.pp
-    outcome.Dse.Optimizer.config;
-  Dse.Report.print_outcome_summary Format.std_formatter outcome
+    outcome.Leon2.Optimizer.config;
+  Leon2.Optimizer.print_outcome_summary Format.std_formatter outcome

@@ -8,17 +8,19 @@
 
    Run with:  dune exec examples/multi_app.exe                       *)
 
+module Leon2 = Dse.Leon2.S
+
 let () =
   let weights = Dse.Cost.runtime_weights in
   let mix = [ (Apps.Registry.drr, 0.6); (Apps.Registry.arith, 0.4) ] in
 
   Format.printf "Tuned for the 60/40 DRR/Arith mix:@.";
-  let combined = Dse.Multiapp.optimize ~weights mix in
-  Dse.Multiapp.print Format.std_formatter combined;
+  let combined = Leon2.Multiapp.optimize ~weights mix in
+  Leon2.Multiapp.print Format.std_formatter combined;
 
   let single app =
-    let o = Dse.Optimizer.run ~weights app in
-    o.Dse.Optimizer.config
+    let o = Leon2.Optimizer.run ~weights app in
+    o.Leon2.Optimizer.config
   in
   let evaluate name config =
     let change app =
@@ -32,4 +34,4 @@ let () =
   Format.printf "@.Cross-evaluation:@.";
   evaluate "tuned for drr" (single Apps.Registry.drr);
   evaluate "tuned for arith" (single Apps.Registry.arith);
-  evaluate "tuned for mix" combined.Dse.Multiapp.config
+  evaluate "tuned for mix" combined.Leon2.Multiapp.config

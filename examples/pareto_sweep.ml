@@ -6,6 +6,8 @@
 
    Run with:  dune exec examples/pareto_sweep.exe [app]              *)
 
+module Leon2 = Dse.Leon2.S
+
 let weight_points =
   [ (100.0, 0.0); (100.0, 1.0); (20.0, 5.0); (5.0, 20.0); (1.0, 100.0); (0.0, 100.0) ]
 
@@ -21,17 +23,17 @@ let () =
 
   (* One model serves every weighting: measurement dominates cost, the
      exact solve is milliseconds. *)
-  let model = Dse.Measure.build app in
+  let model = Leon2.Measure.build app in
   Format.printf "%8s %8s %12s %7s %7s %9s  %s@." "w1" "w2" "runtime(s)" "LUT%"
     "BRAM%" "chipcost" "reconfigured parameters";
   List.iter
     (fun (w1, w2) ->
       let outcome =
-        Dse.Optimizer.run_with_model ~weights:{ Dse.Cost.w1; w2 } model
+        Leon2.Optimizer.run_with_model ~weights:{ Dse.Cost.w1; w2 } model
       in
-      let a = outcome.Dse.Optimizer.actual in
+      let a = outcome.Leon2.Optimizer.actual in
       let params =
-        Dse.Report.changed_params outcome.Dse.Optimizer.config
+        Dse.Target_leon2.changed_params outcome.Leon2.Optimizer.config
         |> List.map (fun (k, v) -> k ^ "=" ^ v)
         |> String.concat ", "
       in

@@ -5,8 +5,8 @@
     instruction cache the whole program already fits in, or swapping
     multiplier variants under a program that never multiplies.  This
     module computes the features such arguments need from the source
-    AST and the compiled binary; {!Dse.Heuristic} uses them to prune
-    perturbations, and [appinfo] prints them. *)
+    AST and the compiled binary; the DSE stack's coordinate descent
+    uses them to prune perturbations, and [appinfo] prints them. *)
 
 type mix = {
   total : int;

@@ -83,5 +83,5 @@ val m_pruned : Obs.Metrics.Counter.t
 
 val m_violations : Obs.Metrics.Counter.t
 (** [dse.bounds.violations] — simulated cycles observed outside the
-    static bounds (an analysis or simulator bug; see
-    [Optimizer.verify]'s sanitizer and the fuzz oracles). *)
+    static bounds (an analysis or simulator bug; see the optimizer's
+    verify-phase sanitizer in {!Stack} and the fuzz oracles). *)

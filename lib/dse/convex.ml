@@ -1,3 +1,5 @@
+open Leon2.S
+
 type study = {
   exact : Optimizer.outcome;
   recast_selected : Arch.Param.var list;
@@ -20,7 +22,8 @@ let run ~weights model =
         Arch.Param.apply_all Arch.Config.base recast_selected
       in
       let recast_actual =
-        Engine.eval (Engine.default ()) model.Measure.app recast_config
+        Engine.eval_on (Engine.default ()) Target_leon2.probe model.Measure.app
+          recast_config
       in
       {
         exact;

@@ -9,6 +9,8 @@
     select configurations whose true BRAM use differs from what the
     linear model believed — this study quantifies that. *)
 
+open Leon2.S
+
 type study = {
   exact : Optimizer.outcome;
   recast_selected : Arch.Param.var list;

@@ -1,3 +1,5 @@
+open Leon2.S
+
 type measurement = {
   seconds : float;
   millijoules : float;
@@ -52,7 +54,9 @@ let dynamic_nanojoules_per_event (config : Arch.Config.t) (p : Sim.Profiler.t) =
    execution profile: the energy model charges its per-event costs
    without a second simulation or resource elaboration. *)
 let measure app config =
-  let cost, profile = Engine.eval_profiled (Engine.default ()) app config in
+  let cost, profile =
+    Engine.eval_profiled_on (Engine.default ()) Target_leon2.probe app config
+  in
   let seconds = cost.Cost.seconds in
   let dynamic_mj = dynamic_nanojoules_per_event config profile /. 1e6 in
   let static_mw = static_milliwatts_of cost.Cost.resources in
@@ -124,7 +128,7 @@ let print_outcome ppf o =
     (String.concat ", "
        (List.map
           (fun (k, v) -> k ^ "=" ^ v)
-          (Report.changed_params o.config)));
+          (Target_leon2.changed_params o.config)));
   Format.fprintf ppf
     "  base:   %.3f s, %.1f mJ (%.1f mW average)@." o.base.seconds
     o.base.millijoules o.base.average_milliwatts;

@@ -364,6 +364,17 @@ let eval_bounded_on ?noise ~cutoff t (probe : _ Target.probe) app config =
             else admit ()
           end
 
+(* The pool-selection rule of every fan-out over this engine: the
+   explicit pool, else the shared one on multi-core hosts, else the
+   caller — still through the pool's task accounting, so
+   [dse.pool.tasks] reflects the work actually done. *)
+let map t f xs =
+  match t.pool with
+  | Some pool -> Pool.map pool f xs
+  | None when Domain.recommended_domain_count () > 1 ->
+      Pool.map (Pool.default ()) f xs
+  | None -> List.map (fun x -> Pool.run_inline (fun () -> f x)) xs
+
 (* Force lazily compiled programs before any pool fan-out: [Lazy] is
    not domain-safe. *)
 let force_programs apps =
@@ -403,18 +414,7 @@ let batch ~span_name ~journal_dedup t keyed evaluate =
         ("unique", Obs.Json.Int (List.length uniques));
       ]
   @@ fun () ->
-  let eval_one (_, req) = evaluate req in
-  let results =
-    match t.pool with
-    | Some pool -> Pool.map pool eval_one uniques
-    | None when Domain.recommended_domain_count () > 1 ->
-        Pool.map (Pool.default ()) eval_one uniques
-    | None ->
-        (* Single-core fallback: run on the caller, but still through
-           the pool's task accounting so [dse.pool.tasks] reflects the
-           work actually done (it used to stay 0 here). *)
-        List.map (fun x -> Pool.run_inline (fun () -> eval_one x)) uniques
-  in
+  let results = map t (fun (_, req) -> evaluate req) uniques in
   let by_key = Hashtbl.create 64 in
   List.iter2 (fun (k, _) r -> Hashtbl.replace by_key k r) uniques results;
   List.map (fun (k, _) -> Hashtbl.find by_key k) keyed
@@ -475,22 +475,6 @@ let eval_all_segments_on ?noise t probe ~phase ~segmented app configs =
         (fun config ->
           eval_segments_on_uncounted ?noise t probe ~phase ~segmented app
             config)
-
-(* The historical LEON2-typed entry points, now thin wrappers over the
-   probe-parametric API. *)
-
-let eval ?noise t app config = eval_on ?noise t Target_leon2.probe app config
-
-let eval_profiled ?noise t app config =
-  eval_profiled_on ?noise t Target_leon2.probe app config
-
-let eval_feasible ?noise t app config =
-  eval_feasible_on ?noise t Target_leon2.probe app config
-
-let eval_all ?noise t pairs = eval_all_on ?noise t Target_leon2.probe pairs
-
-let eval_all_feasible ?noise t app configs =
-  eval_all_feasible_on ?noise t Target_leon2.probe app configs
 
 let default_mutex = Mutex.create ()
 let default_engine = ref None

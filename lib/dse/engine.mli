@@ -24,17 +24,16 @@
     Including the target name keeps two targets that happen to share a
     configuration encoding from ever colliding in the cache.
 
-    {b Targets.}  The [_on] family evaluates any backend through its
-    {!Target.probe}; the unsuffixed functions are the LEON2-typed
-    entry points, equivalent to passing [Target_leon2.probe].
+    {b Targets.}  Every evaluation names its backend by a
+    {!Target.probe} (e.g. [Target_leon2.probe]).
 
     {b Deduplication.}  Concurrent requests for an in-flight key wait
     for the winner's result instead of recomputing, and the batch APIs
     collapse repeated requests before scheduling.
 
     {b Parallelism.}  Batch evaluations fan out on the persistent
-    {!Pool} (work-stealing domain pool) instead of spawning domains
-    per call.
+    {!Pool} (work-stealing domain pool) under one pool-selection rule,
+    {!map}.
 
     {b Observability.}  [dse.engine.hits], [dse.engine.misses] and
     [dse.engine.inflight_dedup] count cache behavior;
@@ -60,10 +59,18 @@ val clear : t -> unit
 (** Drop every cached result (counters are unaffected).  For tests
     that need a cold engine. *)
 
+val map : t -> ('a -> 'b) -> 'a list -> 'b list
+(** Order-preserving map under the engine's pool-selection rule (see
+    {!create}), the one its batches use; model building fans its
+    per-variable measurements out through it.  Force lazily compiled
+    programs first: [Lazy] is not domain-safe. *)
+
 val eval_on :
   ?noise:float -> t -> 'c Target.probe -> Apps.Registry.t -> 'c -> Cost.t
 (** Synthesize and run one configuration of an arbitrary target,
-    memoized under the probe's target name.
+    memoized under the probe's target name.  [noise] is the
+    deterministic LUT measurement-noise amplitude, a fraction of the
+    device (0.005 = ±0.5 %).
     @raise Invalid_argument on structurally invalid configurations. *)
 
 val eval_profiled_on :
@@ -73,11 +80,17 @@ val eval_profiled_on :
   Apps.Registry.t ->
   'c ->
   Cost.t * Sim.Profiler.t
+(** Like {!eval_on} but also returns the execution profile of the
+    (memoized) simulation — the energy model charges per-event costs
+    from it without a second run. *)
 
 val eval_feasible_on :
   ?noise:float -> t -> 'c Target.probe -> Apps.Registry.t -> 'c -> Cost.t option
 (** [None] when the configuration is invalid per the probe or exceeds
-    the probe's device budget. *)
+    the probe's device budget.  Resources are elaborated {e once} and
+    reused for both the feasibility check (on the un-noised estimate)
+    and the returned cost; over-capacity configurations are cached
+    without ever reaching the simulator. *)
 
 val eval_segments_on :
   ?noise:float ->
@@ -107,7 +120,7 @@ val eval_all_segments_on :
   'c list ->
   (Cost.t * Sim.Profiler.t list) list
 (** Batch {!eval_segments_on} for one application, in input order,
-    with the same deduplication and pooling as {!eval_all}. *)
+    with the same deduplication and pooling as {!eval_all_on}. *)
 
 type admission =
   | Infeasible  (** structurally invalid or exceeds the device *)
@@ -141,6 +154,9 @@ val eval_bounded_on :
 
 val eval_all_on :
   ?noise:float -> t -> 'c Target.probe -> (Apps.Registry.t * 'c) list -> Cost.t list
+(** Batch {!eval_on}, in input order.  Repeated requests are collapsed
+    before scheduling (counted as [dse.engine.inflight_dedup]) and the
+    distinct ones fan out under {!map}. *)
 
 val eval_all_feasible_on :
   ?noise:float ->
@@ -149,35 +165,5 @@ val eval_all_feasible_on :
   Apps.Registry.t ->
   'c list ->
   Cost.t option list
-
-val eval : ?noise:float -> t -> Apps.Registry.t -> Arch.Config.t -> Cost.t
-(** Synthesize and run one configuration, memoized.  [noise] is the
-    deterministic LUT measurement-noise amplitude (fraction of the
-    device); see {!Measure}.
-    @raise Invalid_argument on structurally invalid configurations. *)
-
-val eval_profiled :
-  ?noise:float -> t -> Apps.Registry.t -> Arch.Config.t -> Cost.t * Sim.Profiler.t
-(** Like {!eval} but also returns the execution profile of the
-    (memoized) simulation — the energy model charges per-event costs
-    from it without a second run. *)
-
-val eval_feasible :
-  ?noise:float -> t -> Apps.Registry.t -> Arch.Config.t -> Cost.t option
-(** [None] when the configuration is structurally invalid or exceeds
-    the device.  Resources are elaborated {e once} and reused for both
-    the feasibility check (on the un-noised estimate, as
-    {!Synth.Estimate.feasible} judges it) and the returned cost;
-    over-capacity configurations are cached without ever reaching the
-    simulator. *)
-
-val eval_all :
-  ?noise:float -> t -> (Apps.Registry.t * Arch.Config.t) list -> Cost.t list
-(** Batch {!eval}, in input order.  Repeated requests are collapsed
-    before scheduling (counted as [dse.engine.inflight_dedup]) and the
-    distinct ones fan out on the pool. *)
-
-val eval_all_feasible :
-  ?noise:float -> t -> Apps.Registry.t -> Arch.Config.t list -> Cost.t option list
-(** Batch {!eval_feasible} for one application, in input order, with
-    the same deduplication and pooling as {!eval_all}. *)
+(** Batch {!eval_feasible_on} for one application, in input order,
+    with the same deduplication and pooling as {!eval_all_on}. *)

@@ -1,11 +1,9 @@
 (* The functorized stack instantiated for the paper's own platform.
-   The library's historical LEON2-typed modules ({!Measure},
-   {!Formulate}, {!Optimizer}, {!Exhaustive}, {!Heuristic}, {!Ablation},
-   {!Multiapp}) are re-exports of [S]'s submodules — one code path
-   serves every target.
+   Every LEON2-specific client — reports, extensions, examples, bench
+   studies, tests — uses this one instance; target-generic code applies
+   {!Stack.Make} to the registry's targets instead.
 
-   No interface file on purpose: the module equalities (e.g.
-   [Measure.row = Leon2.S.Measure.row]) must stay visible for the
-   re-exporting interfaces to state them. *)
+   No interface file on purpose: it would only restate [Stack.Make]'s
+   signature. *)
 
 module S = Stack.Make (Target_leon2)

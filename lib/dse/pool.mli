@@ -1,9 +1,8 @@
 (** Persistent domain pool with work-stealing scheduling.
 
-    {!Parallel.map} used to spawn (and join) a fresh set of domains on
-    every call; model building, exhaustive sweeps and the evaluation
-    engine all fan out repeatedly, so domain start-up cost and the
-    risk of oversubscription grew with every new client.  This pool
+    Model building, exhaustive sweeps and the evaluation engine all fan
+    out repeatedly, so spawning domains per call would pay start-up
+    cost and risk oversubscription with every new client.  This pool
     spawns its worker domains once and keeps them parked on a
     condition variable between batches.
 
@@ -36,8 +35,8 @@ val create : ?workers:int -> unit -> t
 
 val default : unit -> t
 (** The shared process-wide pool, created on first use and joined via
-    [at_exit].  All library clients ({!Parallel.map}, {!Engine}) use
-    this instance. *)
+    [at_exit].  All library clients fan out through {!Engine.map}, which
+    picks this instance on multi-core hosts. *)
 
 val size : t -> int
 (** Worker-domain count.  The submitting caller also runs tasks, so

@@ -1,3 +1,5 @@
+open Leon2.S
+
 let pf = Format.fprintf
 
 (* --- Figure 1 --- *)
@@ -57,7 +59,7 @@ type fig2 = {
 }
 
 let run_fig2 app =
-  let points = Exhaustive.dcache_sweep app in
+  let points = Exhaustive.geometry_sweep app in
   { points; optimal = Exhaustive.best_runtime points }
 
 let point_row ppf (p : Exhaustive.point) =
@@ -136,7 +138,7 @@ let dcache_insensitive points =
 let run_fig4 () =
   List.map
     (fun app ->
-      let points = Exhaustive.dcache_sweep app in
+      let points = Exhaustive.geometry_sweep app in
       let exhaustive_best =
         if dcache_insensitive points then None
         else Some (Exhaustive.best_runtime points)
@@ -172,10 +174,6 @@ let print_fig4 ppf rows =
 
 (* --- Figures 5 and 7 --- *)
 
-let changed_params = Target_leon2.changed_params
-
-let print_outcome_summary = Leon2.S.Optimizer.print_outcome_summary
-
 let print_paper_summary ppf (s : Paper.opt_summary) =
   pf ppf "  paper %s: %s@." s.Paper.app
     (String.concat ", "
@@ -201,7 +199,7 @@ let print_weighted title paper ppf outcomes =
   pf ppf "%s@." title;
   List.iter
     (fun o ->
-      print_outcome_summary ppf o;
+      Optimizer.print_outcome_summary ppf o;
       let name = o.Optimizer.model.Measure.app.Apps.Registry.name in
       match List.find_opt (fun s -> s.Paper.app = name) paper with
       | Some s -> print_paper_summary ppf s

@@ -5,6 +5,8 @@
     model + optimizer) and returns structured results; each
     [print_figN] renders them next to the paper's published values. *)
 
+open Leon2.S
+
 val print_fig1 : Format.formatter -> unit
 (** The reconfigurable-parameter table and design-space cardinalities. *)
 
@@ -50,9 +52,3 @@ val run_fig7 : unit -> Optimizer.outcome list
 (** Chip-resource optimization (w1=1, w2=100), all four apps. *)
 
 val print_fig7 : Format.formatter -> Optimizer.outcome list -> unit
-
-val changed_params : Arch.Config.t -> (string * string) list
-(** Human-readable (parameter, value) pairs where a configuration
-    differs from base — the rows of the paper's Figures 5 and 7. *)
-
-val print_outcome_summary : Format.formatter -> Optimizer.outcome -> unit

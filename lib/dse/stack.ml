@@ -1,11 +1,9 @@
 (* The paper's pipeline, functorized over a {!Target.S} backend.
 
    [Make (T)] instantiates the whole measure → formulate → solve →
-   verify stack for one soft core: the LEON2-typed modules of this
-   library ({!Measure}, {!Formulate}, {!Optimizer}, {!Exhaustive},
-   {!Heuristic}, {!Ablation}, {!Multiapp}) are [Make (Target_leon2)]
-   re-exported (see [leon2.ml]), and additional backends such as the
-   MicroBlaze-like core run the very same code paths.
+   verify stack for one soft core.  {!Leon2.S} is the paper's own
+   platform; additional backends such as the MicroBlaze-like core run
+   the very same code paths.
 
    All percentage normalizations (lambda/beta in points of the device,
    resource headroom) are relative to the target's own device, so a
@@ -69,6 +67,22 @@ module Make (T : Target.S) = struct
   let headroom_luts (c : Cost.t) = 100.0 -. lut_percent c.Cost.resources
   let headroom_brams (c : Cost.t) = 100.0 -. bram_percent c.Cost.resources
 
+  (** The perturb-one-at-a-time measurement harness, the paper's model
+      building step: per decision variable, build the configuration
+      that differs from base in just that parameter and record its
+      percentage deltas, every evaluation through the shared
+      {!Engine}.  Deltas are taken against [reference_config]: base,
+      except where the perturbation is invalid there — LEON2 measures
+      its 1-way-invalid replacement policies (LRR/LRU) at 2-way
+      associativity against a plain 2-way cache, the own-dimension
+      reading of the paper's model (the x10<=x1 couplings select them
+      only with added ways).  [noise] adds a deterministic LUT error
+      of at most that fraction of the device (0.005 = ±0.5 %), the
+      place-and-route variance the paper's LUT columns carry.
+      [build ?dims] keeps the given groups (default: all) and fans out
+      under {!Engine.map}, identical to a sequential build.  Rebuild
+      rows with [with_rows], never a record update, so [by_index]
+      stays derived. *)
   module Measure = struct
     type row = {
       var : T.var;
@@ -92,12 +106,13 @@ module Make (T : Target.S) = struct
     let model_of app ~base rows = { app; base; rows; by_index = index_rows rows }
     let with_rows m rows = { m with rows; by_index = index_rows rows }
 
+    (** @raise Invalid_argument if [config] is structurally invalid. *)
     let measure ?noise app config =
       Engine.eval_on ?noise (Engine.default ()) T.probe app config
 
     let reference_config = T.reference_config
 
-    let build ?noise ?dims ?jobs app =
+    let build ?noise ?dims app =
       Obs.Span.with_span ~cat:"dse" "measure.build"
         ~attrs:[ ("app", Obs.Json.String app.Apps.Registry.name) ]
       @@ fun span ->
@@ -139,14 +154,29 @@ module Make (T : Target.S) = struct
         in
         { var; config = var.T.apply T.base; cost; deltas = { d with Cost.rho } }
       in
-      model_of app ~base (Parallel.map ?jobs measure_var vars)
+      model_of app ~base (Engine.map (Engine.default ()) measure_var vars)
 
+    (** @raise Not_found if the variable is outside the model's dims. *)
     let row model index =
       match Hashtbl.find_opt model.by_index index with
       | Some r -> r
       | None -> raise Not_found
   end
 
+  (** The paper's Section 4 BINLP over the decision variables:
+      - objective [sum (w1 rho_i + w2 (lambda_i + beta_i)) x_i];
+      - SOS1: at most one value per multi-valued parameter;
+      - validity couplings [T.couplings] (LEON2: LRR needs 2 ways,
+        [x10 <= x1]; LRU needs several, [x11 <= x1+x2+x3]; likewise
+        for the dcache);
+      - resources: extra LUT% and BRAM% within the base's headroom,
+        each cache costing the {e product} of its ways term
+        [(1 + x_w2 + 2 x_w3 + 3 x_w4)] and its per-way size deltas.
+        The paper keeps LUTs linear and BRAMs nonlinear; [variant]
+        swaps either (its "LUTs%-nonlin" and "BRAM%-lin" rows).
+      [make_custom] takes any per-variable objective (energy's);
+      [predicted_deltas] is the superposition estimate the solver
+      believes: rho summed, lambda/beta by [variant]'s forms. *)
   module Formulate = struct
     (* Solver variable j <-> model row j. *)
     let index_table (model : Measure.model) =
@@ -612,6 +642,12 @@ module Make (T : Target.S) = struct
       { Cost.rho; lambda; beta }
   end
 
+  (** The paper's full pipeline: model ({!Measure}), BINLP
+      ({!Formulate}), exact solve ({!Optim.Binlp}), decode, then
+      "actual synthesis" — build the recommendation so predictions
+      meet reality.  [predicted] is the solver's estimate under
+      [variant]; its [_alt] fields use the swapped constraint forms.
+      [run_with_model] reuses a measured model, which dominates cost. *)
   module Optimizer = struct
     type prediction = {
       seconds : float;
@@ -658,6 +694,8 @@ module Make (T : Target.S) = struct
        as spans, so a trace shows at a glance where a reconfiguration
        run spends its time ([Measure.build] opens the measure phase
        itself). *)
+    (** @raise Failure if the BINLP has no feasible solution (not with
+        the paper's constraints: the empty selection is feasible). *)
     let run_with_model ?variant ~weights (model : Measure.model) =
       let app = model.Measure.app.Apps.Registry.name in
       let attrs = [ ("app", Obs.Json.String app) ] in
@@ -764,6 +802,13 @@ module Make (T : Target.S) = struct
         (100.0 *. (p.seconds -. base.Cost.seconds) /. base.Cost.seconds)
   end
 
+  (** The paper's Section 5 baseline: the full space is out of reach
+      (56 days for 2,688 dcache combinations alone), so enumerate the
+      dcache ways x way-size geometry ([geometry_sweep]; LEON2's 28
+      points in Figure 2 row order) and compare with the optimizer's
+      pick.  [cost = None]: the device cannot fit the point.
+      [best_runtime] breaks ties by fewer BRAMs, then LUTs (the
+      paper's "simple sort"). *)
   module Exhaustive = struct
     type point = {
       config : T.config;
@@ -792,6 +837,7 @@ module Make (T : Target.S) = struct
           let better a b = if key (snd a) <= key (snd b) then a else b in
           fst (List.fold_left better first rest)
 
+    (** @raise Not_found if no point is feasible. *)
     let best_runtime points =
       argmin
         (fun (c : Cost.t) ->
@@ -800,19 +846,15 @@ module Make (T : Target.S) = struct
             c.Cost.resources.Synth.Resource.luts ))
         points
 
-    let best_weighted weights ~base points =
-      argmin
-        (fun c -> (Cost.objective weights (deltas ~base c), 0, 0))
-        points
-
-    (* [sweep] + [best_runtime] with the engine's bounds-admission
-       gate: the candidate with the smallest static worst case is
-       simulated first, and its actual runtime prunes every candidate
-       whose static best case is already slower.  Pruned points have
-       [seconds >= lo > incumbent.seconds >= min seconds], so they can
-       neither win nor tie the lexicographic argmin: the selected
-       point is byte-identical to a full sweep's, with fewer
-       simulations. *)
+    (** [sweep] + [best_runtime] with the engine's bounds-admission
+        gate: the candidate with the smallest static worst case is
+        simulated first, and its actual runtime prunes every candidate
+        whose static best case is already slower.  Pruned points have
+        [seconds >= lo > incumbent.seconds >= min seconds], so they can
+        neither win nor tie the lexicographic argmin: the selected
+        point is byte-identical to a full sweep's, with fewer
+        simulations.
+        @raise Not_found if no candidate is feasible. *)
     let best_runtime_search app configs =
       match T.probe.Target.static_bounds with
       | None -> best_runtime (sweep app configs)
@@ -852,6 +894,17 @@ module Make (T : Target.S) = struct
               best_runtime points)
   end
 
+  (** The heuristic DSE baselines the paper positions against (Fischer
+      et al.'s DSE, Gordon-Ross et al.'s cache search), each counting
+      the builds it spends — the paper's scalability currency, ~30
+      minutes of synthesis each: random search samples valid
+      configurations until [builds] feasible ones are spent;
+      coordinate descent adopts the best value per parameter from base
+      until a sweep improves nothing (non-negative weights, as every
+      {!Cost} preset); [paper_method] prices the paper's pipeline in
+      the same currency.  Pruning by [?features] ({!Apps.Features}) or
+      {!Engine.eval_bounded_on} is exact: the result is an unpruned
+      run's, only [builds] drops and [pruned] counts the skips. *)
   module Heuristic = struct
     type result = {
       config : T.config;
@@ -1060,6 +1113,14 @@ module Make (T : Target.S) = struct
         results
   end
 
+  (** Ablations of the paper's design choices: synthesis noise
+      ([noise_study], amplitudes 0, 0.002, 0.005, 0.01 of the device by
+      default — the variance behind the paper's "sub-optimal" register
+      windows; [objective_regret] > 0 means worse than the noise-free
+      pick), constraint form ([variant_study], the four LUT x BRAM
+      linearity combinations of Sections 4 and 6) and parameter
+      independence ([independence_study], predicted vs built runtime
+      change for every registry app). *)
   module Ablation = struct
     type noise_point = {
       amplitude : float;
@@ -1193,6 +1254,11 @@ module Make (T : Target.S) = struct
          case: overlapping cache gains add up linearly in the model)@."
   end
 
+  (** One processor for an application {e set} ("a particular
+      application or application set", the paper's introduction):
+      runtime deltas are weighted by each app's normalized execution
+      share, resource deltas are the configuration's, and the pick is
+      verified by measuring {e every} application on it. *)
   module Multiapp = struct
     type workload = (Apps.Registry.t * float) list
 
@@ -1249,6 +1315,8 @@ module Make (T : Target.S) = struct
       let tuned = (Engine.eval_on engine T.probe app config).Cost.seconds in
       100.0 *. (tuned -. base) /. base
 
+    (** @raise Invalid_argument on an empty workload or a non-positive
+        share. *)
     let optimize ?dims ~weights workload =
       let workload = normalize workload in
       let models =

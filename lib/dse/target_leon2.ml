@@ -1,9 +1,8 @@
 (* The LEON2 reference target: the paper's own soft core, packaged as
    a {!Target.S} instance.  No interface file on purpose — the type
    equalities ([config = Arch.Config.t], [var = Arch.Param.var]) must
-   stay visible so the pre-existing LEON2-typed modules ({!Measure},
-   {!Optimizer}, ...) interoperate with the functorized stack without
-   any conversion. *)
+   stay visible so {!Leon2.S}'s results are plain {!Arch} values to
+   every client (reports, the energy model, the CLIs). *)
 
 type config = Arch.Config.t
 type group = Arch.Param.group

@@ -712,7 +712,7 @@ let journal_pool =
    groups and per-phase resource constraints of
    [Formulate.make_schedule] against [Formulate.make] over the real
    LEON2 variable space with synthetic per-phase runtime deltas. *)
-module SL = Dse.Stack.Make (Dse.Target_leon2)
+module SL = Dse.Leon2.S
 
 let schedule_dominance =
   let module L = Dse.Target_leon2 in

@@ -37,7 +37,8 @@ val default_rules : rule list
     1.05x (deterministic), bounds-pruned and engine hits floored at
     0.95x (pruning power and cache effectiveness must not silently
     erode), simulator and solver throughput ([sim_cycles_per_second],
-    [binlp_nodes_per_second]) floored at 0.67x. *)
+    [binlp_nodes_per_second], recorded by [@sim-perf] and
+    [@solver-perf]) floored at 0.67x. *)
 
 type regression = {
   metric : string;

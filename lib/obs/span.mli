@@ -8,7 +8,7 @@
     nest naturally: a child's [ts, ts+dur] interval lies inside its
     parent's because the parent's event is recorded after the child
     returns.  Recording happens on the current domain's buffer, so
-    spans opened inside {!Dse.Parallel} workers are safe and carry the
+    spans opened inside {!Dse.Pool} workers are safe and carry the
     worker's domain id as [tid]. *)
 
 type handle

@@ -3,7 +3,7 @@
     Recording is off by default; {!Span.with_} degenerates to a plain
     call when disabled, so instrumentation left in hot paths costs one
     atomic load.  Each domain appends to its own buffer (created on
-    first use through [Domain.DLS]), so {!Dse.Parallel} workers trace
+    first use through [Domain.DLS]), so {!Dse.Pool} workers trace
     without locks on the record path; buffers are registered in a
     global list the exporter merges after the domains have joined. *)
 

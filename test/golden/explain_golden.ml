@@ -6,7 +6,7 @@
    deterministic for this pipeline.  `dune promote` updates the
    .expected files on an intentional change. *)
 
-module S = Dse.Stack.Make (Dse.Target_leon2)
+module S = Dse.Leon2.S
 
 let () =
   Obs.Journal.set_enabled true;

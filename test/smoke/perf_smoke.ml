@@ -24,7 +24,7 @@ let counter json path name =
 
 let pipeline () =
   ignore
-    (Dse.Optimizer.run ~dims:Arch.Param.dcache_size_dims
+    (Dse.Leon2.S.Optimizer.run ~dims:Arch.Param.dcache_size_dims
        ~weights:Dse.Cost.runtime_only Apps.Registry.arith)
 
 let () =

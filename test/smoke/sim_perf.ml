@@ -4,9 +4,9 @@
    run, and gate the second run against the first with the standard
    bench-history rules — sim_cycles pinned at 1.05x (the workload is
    deterministic, so any drift is a bug) and throughput floored at
-   0.67x.  The bench binary applies the same rules across processes
-   via BENCH_history.jsonl; this rule makes the gate self-testing in a
-   sandboxed build. *)
+   0.67x.  The bench binary applies the same rules to its work
+   counters across processes via BENCH_history.jsonl; throughput is
+   gated here, from executed cycles over this loop's own time. *)
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 

@@ -6,9 +6,9 @@
    against the first with the standard bench-history rules:
    solver_nodes pinned at 1.05x (the formulation is deterministic, so
    any drift is a bug) and binlp_nodes_per_second floored at 0.67x.
-   The bench binary applies the same rules across processes via
-   BENCH_history.jsonl; this rule makes the gate self-testing in a
-   sandboxed build. *)
+   The bench binary applies the same rules to its work counters across
+   processes via BENCH_history.jsonl; throughput is gated here, from
+   explored nodes over these solves' own time. *)
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 

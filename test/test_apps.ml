@@ -262,11 +262,11 @@ let test_extra_qsort_windows () =
 let test_extra_optimizer_runs () =
   (* The full pipeline accepts extra apps out of the box. *)
   let o =
-    Dse.Optimizer.run ~dims:Arch.Param.dcache_size_dims
+    Dse.Leon2.S.Optimizer.run ~dims:Arch.Param.dcache_size_dims
       ~weights:Dse.Cost.runtime_weights Apps.Extra.rtr
   in
   check_bool "valid recommendation" true
-    (Arch.Config.is_valid o.Dse.Optimizer.config)
+    (Arch.Config.is_valid o.Dse.Leon2.S.Optimizer.config)
 
 let () =
   Alcotest.run "apps"

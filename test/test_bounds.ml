@@ -8,6 +8,7 @@ let check_bool = Alcotest.(check bool)
 
 module Ast = Minic.Ast
 module B = Minic.Bounds
+module Leon2 = Dse.Leon2.S
 
 let program ?(globals = []) ?(locals = []) body =
   { Ast.globals; funcs = [ { Ast.name = "main"; params = []; locals; body } ] }
@@ -185,14 +186,14 @@ let test_best_runtime_search_identity () =
         Arch.Config.Mul_32x32;
       ]
   in
-  let plain = Dse.Exhaustive.best_runtime (Dse.Exhaustive.sweep app configs) in
+  let plain = Leon2.Exhaustive.best_runtime (Leon2.Exhaustive.sweep app configs) in
   let before = Obs.Metrics.Counter.value Dse.Bounds.m_pruned in
-  let searched = Dse.Exhaustive.best_runtime_search app configs in
+  let searched = Leon2.Exhaustive.best_runtime_search app configs in
   let after = Obs.Metrics.Counter.value Dse.Bounds.m_pruned in
   check_bool "same winning configuration" true
-    (Dse.Target_leon2.to_string plain.Dse.Exhaustive.config
-    = Dse.Target_leon2.to_string searched.Dse.Exhaustive.config);
-  (match (plain.Dse.Exhaustive.cost, searched.Dse.Exhaustive.cost) with
+    (Dse.Target_leon2.to_string plain.Leon2.Exhaustive.config
+    = Dse.Target_leon2.to_string searched.Leon2.Exhaustive.config);
+  (match (plain.Leon2.Exhaustive.cost, searched.Leon2.Exhaustive.cost) with
   | Some a, Some b ->
       Alcotest.(check (float 0.0))
         "same runtime" a.Dse.Cost.seconds b.Dse.Cost.seconds

@@ -2,6 +2,8 @@
    formulation, optimizer, exhaustive baseline, and the paper's
    near-optimality claims. *)
 
+module Leon2 = Dse.Leon2.S
+
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_float = Alcotest.(check (float 1e-9))
@@ -37,41 +39,41 @@ let test_cost_headroom () =
 
 (* --- Measure (dcache dims: cheap) --- *)
 
-let dcache_model = lazy (Dse.Measure.build ~dims:Arch.Param.dcache_size_dims Apps.Registry.blastn)
+let dcache_model = lazy (Leon2.Measure.build ~dims:Arch.Param.dcache_size_dims Apps.Registry.blastn)
 
 let test_measure_dims () =
   let m = Lazy.force dcache_model in
-  check_int "8 rows for dcache ways+size" 8 (List.length m.Dse.Measure.rows);
+  check_int "8 rows for dcache ways+size" 8 (List.length m.Leon2.Measure.rows);
   List.iter
-    (fun (r : Dse.Measure.row) ->
+    (fun (r : Leon2.Measure.row) ->
       check_bool "group restricted" true
-        (List.mem r.Dse.Measure.var.Arch.Param.group Arch.Param.dcache_size_dims))
-    m.Dse.Measure.rows
+        (List.mem r.Leon2.Measure.var.Arch.Param.group Arch.Param.dcache_size_dims))
+    m.Leon2.Measure.rows
 
 let test_measure_base () =
   let m = Lazy.force dcache_model in
-  check_int "base LUTs" 14992 m.Dse.Measure.base.Dse.Cost.resources.Synth.Resource.luts;
-  check_int "base BRAM" 82 m.Dse.Measure.base.Dse.Cost.resources.Synth.Resource.brams
+  check_int "base LUTs" 14992 m.Leon2.Measure.base.Dse.Cost.resources.Synth.Resource.luts;
+  check_int "base BRAM" 82 m.Leon2.Measure.base.Dse.Cost.resources.Synth.Resource.brams
 
 let test_measure_signs () =
   (* Bigger dcache: negative rho (faster), positive beta (more BRAM). *)
   let m = Lazy.force dcache_model in
-  let r32 = Dse.Measure.row m 19 in
-  check_bool "32KB speeds BLASTN up" true (r32.Dse.Measure.deltas.Dse.Cost.rho < 0.0);
-  check_bool "32KB costs BRAM" true (r32.Dse.Measure.deltas.Dse.Cost.beta > 30.0);
-  let r1 = Dse.Measure.row m 15 in
-  check_bool "1KB slows BLASTN" true (r1.Dse.Measure.deltas.Dse.Cost.rho > 0.0);
-  check_bool "1KB saves BRAM" true (r1.Dse.Measure.deltas.Dse.Cost.beta < 0.0)
+  let r32 = Leon2.Measure.row m 19 in
+  check_bool "32KB speeds BLASTN up" true (r32.Leon2.Measure.deltas.Dse.Cost.rho < 0.0);
+  check_bool "32KB costs BRAM" true (r32.Leon2.Measure.deltas.Dse.Cost.beta > 30.0);
+  let r1 = Leon2.Measure.row m 15 in
+  check_bool "1KB slows BLASTN" true (r1.Leon2.Measure.deltas.Dse.Cost.rho > 0.0);
+  check_bool "1KB saves BRAM" true (r1.Leon2.Measure.deltas.Dse.Cost.beta < 0.0)
 
 let test_measure_row_lookup () =
   let m = Lazy.force dcache_model in
-  match Dse.Measure.row m 23 with
+  match Leon2.Measure.row m 23 with
   | exception Not_found -> ()
   | _ -> Alcotest.fail "row 23 (fast jump) is outside dcache dims"
 
 let test_measure_noise_deterministic () =
-  let a = Dse.Measure.measure ~noise:0.005 Apps.Registry.arith Arch.Config.base in
-  let b = Dse.Measure.measure ~noise:0.005 Apps.Registry.arith Arch.Config.base in
+  let a = Leon2.Measure.measure ~noise:0.005 Apps.Registry.arith Arch.Config.base in
+  let b = Leon2.Measure.measure ~noise:0.005 Apps.Registry.arith Arch.Config.base in
   check_int "noise is a function of the configuration"
     a.Dse.Cost.resources.Synth.Resource.luts
     b.Dse.Cost.resources.Synth.Resource.luts
@@ -80,17 +82,17 @@ let test_measure_noise_deterministic () =
 
 let test_formulate_structure () =
   let m = Lazy.force dcache_model in
-  let p = Dse.Formulate.make Dse.Cost.runtime_only m in
+  let p = Leon2.Formulate.make Dse.Cost.runtime_only m in
   check_int "8 variables" 8 p.Optim.Binlp.nvars;
   check_int "2 SOS1 groups (ways, sizes)" 2 (List.length p.Optim.Binlp.groups);
   (* no replacement vars in dims: couplings vanish; 2 resource rows *)
   check_int "2 constraints" 2 (List.length p.Optim.Binlp.constraints)
 
-let full_model = lazy (Dse.Measure.build Apps.Registry.blastn)
+let full_model = lazy (Leon2.Measure.build Apps.Registry.blastn)
 
 let test_formulate_full () =
   let m = Lazy.force full_model in
-  let p = Dse.Formulate.make Dse.Cost.runtime_weights m in
+  let p = Leon2.Formulate.make Dse.Cost.runtime_weights m in
   check_int "52 variables" 52 p.Optim.Binlp.nvars;
   (* 8 multi-member SOS1 groups, as in the paper's Section 4 *)
   check_int "8 SOS1 groups" 8 (List.length p.Optim.Binlp.groups);
@@ -102,13 +104,13 @@ let test_formulate_prediction_additivity () =
      plain sums of the measured rows. *)
   let m = Lazy.force full_model in
   let v23 = Arch.Param.var 23 and v24 = Arch.Param.var 24 in
-  let d = Dse.Formulate.predicted_deltas m [ v23; v24 ] in
-  let r23 = Dse.Measure.row m 23 and r24 = Dse.Measure.row m 24 in
+  let d = Leon2.Formulate.predicted_deltas m [ v23; v24 ] in
+  let r23 = Leon2.Measure.row m 23 and r24 = Leon2.Measure.row m 24 in
   check_bool "rho adds" true
     (Float.abs
        (d.Dse.Cost.rho
-       -. (r23.Dse.Measure.deltas.Dse.Cost.rho
-          +. r24.Dse.Measure.deltas.Dse.Cost.rho))
+       -. (r23.Leon2.Measure.deltas.Dse.Cost.rho
+          +. r24.Leon2.Measure.deltas.Dse.Cost.rho))
     < 1e-9)
 
 let test_formulate_product_prediction () =
@@ -117,12 +119,12 @@ let test_formulate_product_prediction () =
      true additive per-way resource cost exactly. *)
   let m = Lazy.force full_model in
   let v12 = Arch.Param.var 12 and v19 = Arch.Param.var 19 in
-  let d = Dse.Formulate.predicted_deltas m [ v12; v19 ] in
+  let d = Leon2.Formulate.predicted_deltas m [ v12; v19 ] in
   let config = Arch.Param.apply_all Arch.Config.base [ v12; v19 ] in
   let actual = Synth.Estimate.config config in
   let actual_beta =
     Synth.Resource.bram_percent actual
-    -. Synth.Resource.bram_percent m.Dse.Measure.base.Dse.Cost.resources
+    -. Synth.Resource.bram_percent m.Leon2.Measure.base.Dse.Cost.resources
   in
   check_bool "nonlinear BRAM prediction within 1 point of truth" true
     (Float.abs (d.Dse.Cost.beta -. actual_beta) < 1.0)
@@ -130,10 +132,10 @@ let test_formulate_product_prediction () =
 let test_formulate_linear_variant_differs () =
   let m = Lazy.force full_model in
   let v12 = Arch.Param.var 12 and v19 = Arch.Param.var 19 in
-  let nl = Dse.Formulate.predicted_deltas m [ v12; v19 ] in
+  let nl = Leon2.Formulate.predicted_deltas m [ v12; v19 ] in
   let lin =
-    Dse.Formulate.predicted_deltas
-      ~variant:{ Dse.Formulate.lut_nonlinear = false; bram_linear = true }
+    Leon2.Formulate.predicted_deltas
+      ~variant:{ Dse.Stack.lut_nonlinear = false; bram_linear = true }
       m [ v12; v19 ]
   in
   (* The linear model misses the ways x size interaction and
@@ -144,23 +146,23 @@ let test_formulate_linear_variant_differs () =
 
 let test_optimizer_dcache_blastn () =
   let m = Lazy.force dcache_model in
-  let o = Dse.Optimizer.run_with_model ~weights:Dse.Cost.runtime_only m in
+  let o = Leon2.Optimizer.run_with_model ~weights:Dse.Cost.runtime_only m in
   (* The paper's pick: 1 way of 32 KB. *)
-  check_int "ways" 1 o.Dse.Optimizer.config.Arch.Config.dcache.Arch.Config.ways;
-  check_int "way KB" 32 o.Dse.Optimizer.config.Arch.Config.dcache.Arch.Config.way_kb
+  check_int "ways" 1 o.Leon2.Optimizer.config.Arch.Config.dcache.Arch.Config.ways;
+  check_int "way KB" 32 o.Leon2.Optimizer.config.Arch.Config.dcache.Arch.Config.way_kb
 
 let test_optimizer_near_optimal () =
   (* Section 5's claim: the optimizer's pick is near the exhaustive
      optimum (the paper found a 0.02% runtime difference). *)
   let m = Lazy.force dcache_model in
-  let o = Dse.Optimizer.run_with_model ~weights:Dse.Cost.runtime_only m in
-  let sweep = Dse.Exhaustive.dcache_sweep Apps.Registry.blastn in
-  let best = Dse.Exhaustive.best_runtime sweep in
-  match best.Dse.Exhaustive.cost with
+  let o = Leon2.Optimizer.run_with_model ~weights:Dse.Cost.runtime_only m in
+  let sweep = Leon2.Exhaustive.geometry_sweep Apps.Registry.blastn in
+  let best = Leon2.Exhaustive.best_runtime sweep in
+  match best.Leon2.Exhaustive.cost with
   | None -> Alcotest.fail "exhaustive best must be feasible"
   | Some c ->
       let gap =
-        (o.Dse.Optimizer.actual.Dse.Cost.seconds -. c.Dse.Cost.seconds)
+        (o.Leon2.Optimizer.actual.Dse.Cost.seconds -. c.Dse.Cost.seconds)
         /. c.Dse.Cost.seconds
       in
       check_bool "within 0.5% of exhaustive optimum" true
@@ -168,48 +170,48 @@ let test_optimizer_near_optimal () =
 
 let test_optimizer_solution_feasible () =
   let m = Lazy.force dcache_model in
-  let o = Dse.Optimizer.run_with_model ~weights:Dse.Cost.runtime_weights m in
-  check_bool "configuration valid" true (Arch.Config.is_valid o.Dse.Optimizer.config);
+  let o = Leon2.Optimizer.run_with_model ~weights:Dse.Cost.runtime_weights m in
+  check_bool "configuration valid" true (Arch.Config.is_valid o.Leon2.Optimizer.config);
   check_bool "fits the device" true
-    (Synth.Resource.fits o.Dse.Optimizer.actual.Dse.Cost.resources)
+    (Synth.Resource.fits o.Leon2.Optimizer.actual.Dse.Cost.resources)
 
 let test_optimizer_weights_tradeoff () =
   (* Resource weights must never pick a configuration with more chip
      cost than the runtime-weights pick, and vice versa for runtime. *)
   let m = Lazy.force dcache_model in
-  let rt = Dse.Optimizer.run_with_model ~weights:Dse.Cost.runtime_weights m in
-  let rc = Dse.Optimizer.run_with_model ~weights:Dse.Cost.resource_weights m in
+  let rt = Leon2.Optimizer.run_with_model ~weights:Dse.Cost.runtime_weights m in
+  let rc = Leon2.Optimizer.run_with_model ~weights:Dse.Cost.resource_weights m in
   check_bool "resource pick uses fewer resources" true
-    (Synth.Resource.chip_cost rc.Dse.Optimizer.actual.Dse.Cost.resources
-    <= Synth.Resource.chip_cost rt.Dse.Optimizer.actual.Dse.Cost.resources);
+    (Synth.Resource.chip_cost rc.Leon2.Optimizer.actual.Dse.Cost.resources
+    <= Synth.Resource.chip_cost rt.Leon2.Optimizer.actual.Dse.Cost.resources);
   check_bool "runtime pick is at least as fast" true
-    (rt.Dse.Optimizer.actual.Dse.Cost.seconds
-    <= rc.Dse.Optimizer.actual.Dse.Cost.seconds)
+    (rt.Leon2.Optimizer.actual.Dse.Cost.seconds
+    <= rc.Leon2.Optimizer.actual.Dse.Cost.seconds)
 
 let test_optimizer_arith_ignores_dcache () =
   let o =
-    Dse.Optimizer.run ~dims:Arch.Param.dcache_size_dims
+    Leon2.Optimizer.run ~dims:Arch.Param.dcache_size_dims
       ~weights:Dse.Cost.runtime_weights Apps.Registry.arith
   in
   (* Nothing to gain: with w2 > 0 the optimizer shrinks the dcache
      instead (resource savings at zero runtime cost). *)
   check_bool "dcache not grown" true
-    (o.Dse.Optimizer.config.Arch.Config.dcache.Arch.Config.way_kb <= 4)
+    (o.Leon2.Optimizer.config.Arch.Config.dcache.Arch.Config.way_kb <= 4)
 
 (* --- Exhaustive --- *)
 
 let test_exhaustive_counts () =
-  let points = Dse.Exhaustive.dcache_sweep Apps.Registry.blastn in
+  let points = Leon2.Exhaustive.geometry_sweep Apps.Registry.blastn in
   check_int "28 points" 28 (List.length points);
   let feasible =
-    List.length (List.filter (fun p -> p.Dse.Exhaustive.cost <> None) points)
+    List.length (List.filter (fun p -> p.Leon2.Exhaustive.cost <> None) points)
   in
   check_int "19 feasible, as in Figure 2" 19 feasible
 
 let test_exhaustive_optimum_matches_paper_pick () =
-  let points = Dse.Exhaustive.dcache_sweep Apps.Registry.blastn in
-  let best = Dse.Exhaustive.best_runtime points in
-  let d = best.Dse.Exhaustive.config.Arch.Config.dcache in
+  let points = Leon2.Exhaustive.geometry_sweep Apps.Registry.blastn in
+  let best = Leon2.Exhaustive.best_runtime points in
+  let d = best.Leon2.Exhaustive.config.Arch.Config.dcache in
   (* Paper Figure 2: optimal runtime at 2 x 16 KB. *)
   check_int "ways" 2 d.Arch.Config.ways;
   check_int "way KB" 16 d.Arch.Config.way_kb
@@ -218,14 +220,14 @@ let test_exhaustive_optimum_matches_paper_pick () =
 
 let test_full_runtime_optimization_blastn () =
   let m = Lazy.force full_model in
-  let o = Dse.Optimizer.run_with_model ~weights:Dse.Cost.runtime_weights m in
-  let base = m.Dse.Measure.base.Dse.Cost.seconds in
-  let gain = 100.0 *. (base -. o.Dse.Optimizer.actual.Dse.Cost.seconds) /. base in
+  let o = Leon2.Optimizer.run_with_model ~weights:Dse.Cost.runtime_weights m in
+  let base = m.Leon2.Measure.base.Dse.Cost.seconds in
+  let gain = 100.0 *. (base -. o.Leon2.Optimizer.actual.Dse.Cost.seconds) /. base in
   (* Paper Section 6.1: BLASTN improves 11.59%; ours lands close. *)
   check_bool (Printf.sprintf "gain %.2f%% in 8..16%%" gain) true
     (gain > 8.0 && gain < 16.0);
   (* The application-specific picks of Figure 5. *)
-  let c = o.Dse.Optimizer.config in
+  let c = o.Leon2.Optimizer.config in
   check_int "32KB dcache capacity" 32
     (c.Arch.Config.dcache.Arch.Config.ways * c.Arch.Config.dcache.Arch.Config.way_kb);
   check_bool "multiplier upgraded" true
@@ -238,12 +240,12 @@ let test_prediction_tracks_actual () =
   (* The linear model's runtime prediction should be within a few
      percent of the actual build for BLASTN (paper: 9.35 vs 9.37). *)
   let m = Lazy.force full_model in
-  let o = Dse.Optimizer.run_with_model ~weights:Dse.Cost.runtime_weights m in
+  let o = Leon2.Optimizer.run_with_model ~weights:Dse.Cost.runtime_weights m in
   let err =
     Float.abs
-      (o.Dse.Optimizer.predicted.Dse.Optimizer.seconds
-      -. o.Dse.Optimizer.actual.Dse.Cost.seconds)
-    /. o.Dse.Optimizer.actual.Dse.Cost.seconds
+      (o.Leon2.Optimizer.predicted.Leon2.Optimizer.seconds
+      -. o.Leon2.Optimizer.actual.Dse.Cost.seconds)
+    /. o.Leon2.Optimizer.actual.Dse.Cost.seconds
   in
   check_bool "prediction within 5%" true (err < 0.05)
 

@@ -5,7 +5,8 @@
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let config_of_seed seed = Dse.Heuristic.random_config (Sim.Rng.create ~seed)
+let probe = Dse.Target_leon2.probe
+let config_of_seed seed = Dse.Target_leon2.random_config (Sim.Rng.create ~seed)
 
 let delta before after name =
   Obs.Metrics.counter_value after name - Obs.Metrics.counter_value before name
@@ -24,10 +25,10 @@ let memo_bit_identical_qtest =
       List.for_all
         (fun noise ->
           let e1 = Dse.Engine.create () in
-          let cold = Dse.Engine.eval ?noise e1 app config in
-          let warm = Dse.Engine.eval ?noise e1 app config in
+          let cold = Dse.Engine.eval_on ?noise e1 probe app config in
+          let warm = Dse.Engine.eval_on ?noise e1 probe app config in
           let e2 = Dse.Engine.create () in
-          let cold2 = Dse.Engine.eval ?noise e2 app config in
+          let cold2 = Dse.Engine.eval_on ?noise e2 probe app config in
           compare cold warm = 0 && compare cold cold2 = 0)
         [ None; Some 0.005 ])
 
@@ -36,9 +37,9 @@ let test_memo_counts () =
   let config = config_of_seed 42 in
   let e = Dse.Engine.create () in
   let before = Obs.Metrics.snapshot () in
-  let c1 = Dse.Engine.eval e app config in
+  let c1 = Dse.Engine.eval_on e probe app config in
   let mid = Obs.Metrics.snapshot () in
-  let c2 = Dse.Engine.eval e app config in
+  let c2 = Dse.Engine.eval_on e probe app config in
   let after = Obs.Metrics.snapshot () in
   check_bool "identical cost" true (compare c1 c2 = 0);
   check_int "first eval misses" 1 (delta before mid "dse.engine.misses");
@@ -56,8 +57,8 @@ let test_noise_amplitudes_distinct_keys () =
     if seed > 200 then Alcotest.fail "no noised config found"
     else
       let config = config_of_seed seed in
-      let plain = Dse.Engine.eval e app config in
-      let noised = Dse.Engine.eval ~noise:0.01 e app config in
+      let plain = Dse.Engine.eval_on e probe app config in
+      let noised = Dse.Engine.eval_on ~noise:0.01 e probe app config in
       if
         plain.Dse.Cost.resources.Synth.Resource.luts
         <> noised.Dse.Cost.resources.Synth.Resource.luts
@@ -73,10 +74,10 @@ let test_noise_amplitudes_distinct_keys () =
 
 let test_noise_magnitude_pinned () =
   (* Regression for the unit of [noise]: a fraction of the device
-     (0.005 = ±0.5 % of its LUTs), as documented in engine.mli and
-     measure.mli.  The old code converted fraction → percent at the
-     call site and percent → fraction inside [lut_noise]; the two
-     conversions cancelled, so this pins the (unchanged) magnitude
+     (0.005 = ±0.5 % of its LUTs), as documented in engine.mli and on
+     [Stack.Make]'s Measure.  The old code converted fraction → percent
+     at the call site and percent → fraction inside [lut_noise]; the
+     two conversions cancelled, so this pins the (unchanged) magnitude
      against the documented formula — any future one-sided edit that
      skews the unit by 100x fails here. *)
   let app = Apps.Registry.arith in
@@ -92,8 +93,8 @@ let test_noise_magnitude_pinned () =
   for seed = 0 to 20 do
     let config = config_of_seed seed in
     let e = Dse.Engine.create () in
-    let plain = Dse.Engine.eval e app config in
-    let noised = Dse.Engine.eval ~noise:amplitude e app config in
+    let plain = Dse.Engine.eval_on e probe app config in
+    let noised = Dse.Engine.eval_on ~noise:amplitude e probe app config in
     let delta =
       noised.Dse.Cost.resources.Synth.Resource.luts
       - plain.Dse.Cost.resources.Synth.Resource.luts
@@ -111,9 +112,11 @@ let test_eval_feasible_matches_reference () =
   let e = Dse.Engine.create () in
   List.iter
     (fun config ->
-      let got = Dse.Engine.eval_feasible e app config in
+      let got = Dse.Engine.eval_feasible_on e probe app config in
       if Synth.Estimate.feasible config then (
-        let reference = Dse.Engine.eval (Dse.Engine.create ()) app config in
+        let reference =
+          Dse.Engine.eval_on (Dse.Engine.create ()) probe app config
+        in
         match got with
         | Some c -> check_bool "feasible cost matches eval" true (compare c reference = 0)
         | None -> Alcotest.fail "feasible config reported infeasible")
@@ -136,18 +139,18 @@ let test_unfit_upgrade () =
   let e = Dse.Engine.create () in
   let before = Obs.Metrics.snapshot () in
   check_bool "feasible query is None" true
-    (Dse.Engine.eval_feasible e app unfit = None);
+    (Dse.Engine.eval_feasible_on e probe app unfit = None);
   let mid = Obs.Metrics.snapshot () in
   check_int "no simulation for the unfit query" 0 (delta before mid "dse.builds");
   check_int "resource-only compute is a miss" 1
     (delta before mid "dse.engine.misses");
-  let cost = Dse.Engine.eval e app unfit in
+  let cost = Dse.Engine.eval_on e probe app unfit in
   let after = Obs.Metrics.snapshot () in
   check_int "forced eval simulates once" 1 (delta mid after "dse.builds");
   check_bool "over-capacity resources preserved" true
     (not (Synth.Resource.fits cost.Dse.Cost.resources));
   check_bool "now cached as infeasible-but-built" true
-    (Dse.Engine.eval_feasible e app unfit = None);
+    (Dse.Engine.eval_feasible_on e probe app unfit = None);
   let last = Obs.Metrics.snapshot () in
   check_int "and that query was a hit" 1 (delta after last "dse.engine.hits")
 
@@ -162,10 +165,12 @@ let test_eval_all_matches_serial () =
     ~finally:(fun () -> Dse.Pool.shutdown pool)
     (fun () ->
       let pooled = Dse.Engine.create ~pool () in
-      let batch = Dse.Engine.eval_all pooled pairs in
+      let batch = Dse.Engine.eval_all_on pooled probe pairs in
       let serial_engine = Dse.Engine.create () in
       let serial =
-        List.map (fun (a, c) -> Dse.Engine.eval serial_engine a c) pairs
+        List.map
+          (fun (a, c) -> Dse.Engine.eval_on serial_engine probe a c)
+          pairs
       in
       check_int "lengths agree" (List.length serial) (List.length batch);
       List.iteri
@@ -179,7 +184,9 @@ let test_eval_all_dedups_batch () =
   let config = config_of_seed 7 in
   let e = Dse.Engine.create () in
   let before = Obs.Metrics.snapshot () in
-  let costs = Dse.Engine.eval_all e (List.init 5 (fun _ -> (app, config))) in
+  let costs =
+    Dse.Engine.eval_all_on e probe (List.init 5 (fun _ -> (app, config)))
+  in
   let after = Obs.Metrics.snapshot () in
   check_int "five results" 5 (List.length costs);
   check_bool "all identical" true
@@ -196,10 +203,11 @@ let test_fig2_sweep_build_count () =
   let engine = Dse.Engine.default () in
   Dse.Engine.clear engine;
   let before = Obs.Metrics.snapshot () in
-  let points = Dse.Exhaustive.dcache_sweep app in
+  let points = Dse.Leon2.S.Exhaustive.geometry_sweep app in
   let mid = Obs.Metrics.snapshot () in
   let feasible =
-    List.length (List.filter (fun p -> p.Dse.Exhaustive.cost <> None) points)
+    List.length
+      (List.filter (fun p -> p.Dse.Leon2.S.Exhaustive.cost <> None) points)
   in
   check_int "28 geometry points" 28 (List.length points);
   check_int "19 feasible points" 19 feasible;
@@ -207,7 +215,7 @@ let test_fig2_sweep_build_count () =
     (delta before mid "dse.builds");
   check_int "every point computed once" 28 (delta before mid "dse.engine.misses");
   (* The same sweep again is pure cache. *)
-  let again = Dse.Exhaustive.dcache_sweep app in
+  let again = Dse.Leon2.S.Exhaustive.geometry_sweep app in
   let after = Obs.Metrics.snapshot () in
   check_bool "identical points" true (compare points again = 0);
   check_int "no new builds" 0 (delta mid after "dse.builds");
@@ -222,7 +230,8 @@ let test_pool_map_order () =
     (fun () ->
       let xs = List.init 100 Fun.id in
       check_bool "order preserved" true
-        (Dse.Pool.map pool (fun x -> x * x) xs = List.map (fun x -> x * x) xs))
+        (Dse.Pool.map pool (fun x -> x * x) xs = List.map (fun x -> x * x) xs);
+      check_bool "empty list" true (Dse.Pool.map pool Fun.id [] = []))
 
 let test_pool_exception_propagates () =
   let pool = Dse.Pool.create ~workers:2 () in

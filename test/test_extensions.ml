@@ -1,6 +1,8 @@
 (* Tests for the extension layer: heuristic baselines, the convex
    recast, the energy model, ablations and the figure report drivers. *)
 
+module Leon2 = Dse.Leon2.S
+
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
@@ -9,7 +11,7 @@ let check_bool = Alcotest.(check bool)
 let test_random_config_valid () =
   let rng = Sim.Rng.create ~seed:99 in
   for _ = 1 to 500 do
-    let c = Dse.Heuristic.random_config rng in
+    let c = Dse.Target_leon2.random_config rng in
     match Arch.Config.validate c with
     | Ok () -> ()
     | Error m -> Alcotest.failf "invalid random config: %s" m
@@ -17,41 +19,41 @@ let test_random_config_valid () =
 
 let test_random_search_budget () =
   let r =
-    Dse.Heuristic.random_search ~builds:10 ~weights:Dse.Cost.runtime_weights
+    Leon2.Heuristic.random_search ~builds:10 ~weights:Dse.Cost.runtime_weights
       Apps.Registry.arith
   in
   (* Every feasible draw consumes budget; bounds admission decides
      whether it is simulated ([builds]) or provably dominated and
      skipped ([pruned]). *)
   check_int "spent exactly the budget" 10
-    (r.Dse.Heuristic.builds + r.Dse.Heuristic.pruned);
+    (r.Leon2.Heuristic.builds + r.Leon2.Heuristic.pruned);
   check_bool "at least the winner is simulated" true
-    (r.Dse.Heuristic.builds >= 1);
-  check_bool "never worse than base" true (r.Dse.Heuristic.objective <= 0.0);
-  check_bool "feasible" true (Synth.Resource.fits r.Dse.Heuristic.cost.Dse.Cost.resources)
+    (r.Leon2.Heuristic.builds >= 1);
+  check_bool "never worse than base" true (r.Leon2.Heuristic.objective <= 0.0);
+  check_bool "feasible" true (Synth.Resource.fits r.Leon2.Heuristic.cost.Dse.Cost.resources)
 
 let test_random_search_deterministic () =
   let go () =
-    (Dse.Heuristic.random_search ~seed:7 ~builds:8
+    (Leon2.Heuristic.random_search ~seed:7 ~builds:8
        ~weights:Dse.Cost.runtime_weights Apps.Registry.arith)
-      .Dse.Heuristic.objective
+      .Leon2.Heuristic.objective
   in
   Alcotest.(check (float 0.0)) "same seed, same answer" (go ()) (go ())
 
 let test_coordinate_descent_improves () =
   let r =
-    Dse.Heuristic.coordinate_descent ~weights:Dse.Cost.runtime_weights
+    Leon2.Heuristic.coordinate_descent ~weights:Dse.Cost.runtime_weights
       Apps.Registry.arith
   in
-  check_bool "strictly better than base" true (r.Dse.Heuristic.objective < 0.0);
+  check_bool "strictly better than base" true (r.Leon2.Heuristic.objective < 0.0);
   check_bool "counts its candidates" true
-    (r.Dse.Heuristic.builds + r.Dse.Heuristic.pruned > 10);
-  check_bool "valid result" true (Arch.Config.is_valid r.Dse.Heuristic.config)
+    (r.Leon2.Heuristic.builds + r.Leon2.Heuristic.pruned > 10);
+  check_bool "valid result" true (Arch.Config.is_valid r.Leon2.Heuristic.config)
 
 let test_paper_method_build_count () =
-  let r = Dse.Heuristic.paper_method ~weights:Dse.Cost.runtime_weights Apps.Registry.arith in
+  let r = Leon2.Heuristic.paper_method ~weights:Dse.Cost.runtime_weights Apps.Registry.arith in
   (* base + 52 probes + 2 replacement references + 1 verification *)
-  check_int "56 builds" 56 r.Dse.Heuristic.builds
+  check_int "56 builds" 56 r.Leon2.Heuristic.builds
 
 let test_static_features () =
   let ft = Apps.Features.of_app Apps.Registry.arith in
@@ -97,33 +99,33 @@ let test_features_recursion_unbounded () =
 let test_static_pruning_preserves_trajectory () =
   let weights = Dse.Cost.runtime_weights in
   let app = Apps.Registry.arith in
-  let plain = Dse.Heuristic.coordinate_descent ~weights app in
+  let plain = Leon2.Heuristic.coordinate_descent ~weights app in
   let pruned =
-    Dse.Heuristic.coordinate_descent
+    Leon2.Heuristic.coordinate_descent
       ~features:(Apps.Features.of_app app)
       ~weights app
   in
   check_bool "same final configuration" true
-    (Arch.Config.equal plain.Dse.Heuristic.config pruned.Dse.Heuristic.config);
+    (Arch.Config.equal plain.Leon2.Heuristic.config pruned.Leon2.Heuristic.config);
   Alcotest.(check (float 1e-9))
-    "same objective" plain.Dse.Heuristic.objective
-    pruned.Dse.Heuristic.objective;
+    "same objective" plain.Leon2.Heuristic.objective
+    pruned.Leon2.Heuristic.objective;
   check_bool "features never prune less than bounds admission alone" true
-    (pruned.Dse.Heuristic.pruned >= plain.Dse.Heuristic.pruned);
-  check_bool "some candidates pruned" true (pruned.Dse.Heuristic.pruned > 0);
+    (pruned.Leon2.Heuristic.pruned >= plain.Leon2.Heuristic.pruned);
+  check_bool "some candidates pruned" true (pruned.Leon2.Heuristic.pruned > 0);
   check_bool "no more builds with features than without" true
-    (pruned.Dse.Heuristic.builds <= plain.Dse.Heuristic.builds);
+    (pruned.Leon2.Heuristic.builds <= plain.Leon2.Heuristic.builds);
   (* both runs walk the identical candidate sequence; each candidate is
      either simulated or (feature- or bounds-)pruned *)
   check_int "candidates considered add up"
-    (plain.Dse.Heuristic.builds + plain.Dse.Heuristic.pruned)
-    (pruned.Dse.Heuristic.builds + pruned.Dse.Heuristic.pruned)
+    (plain.Leon2.Heuristic.builds + plain.Leon2.Heuristic.pruned)
+    (pruned.Leon2.Heuristic.builds + pruned.Leon2.Heuristic.pruned)
 
 (* --- Convex recast --- *)
 
 let test_convex_study_runs () =
   let model =
-    Dse.Measure.build ~dims:Arch.Param.dcache_size_dims Apps.Registry.arith
+    Leon2.Measure.build ~dims:Arch.Param.dcache_size_dims Apps.Registry.arith
   in
   let s = Dse.Convex.run ~weights:Dse.Cost.runtime_weights model in
   check_bool "recast decodes to a valid config" true
@@ -175,38 +177,38 @@ let test_energy_optimize_improves () =
 
 let test_variant_study_shapes () =
   let model =
-    Dse.Measure.build ~dims:Arch.Param.dcache_size_dims Apps.Registry.blastn
+    Leon2.Measure.build ~dims:Arch.Param.dcache_size_dims Apps.Registry.blastn
   in
-  let points = Dse.Ablation.variant_study ~weights:Dse.Cost.runtime_weights model in
+  let points = Leon2.Ablation.variant_study ~weights:Dse.Cost.runtime_weights model in
   check_int "four variants" 4 (List.length points);
   (* All four must produce decodable outcomes. *)
   List.iter
-    (fun (p : Dse.Ablation.variant_point) ->
+    (fun (p : Leon2.Ablation.variant_point) ->
       check_bool "valid" true
-        (Arch.Config.is_valid p.Dse.Ablation.outcome.Dse.Optimizer.config))
+        (Arch.Config.is_valid p.Leon2.Ablation.outcome.Leon2.Optimizer.config))
     points
 
 let test_independence_study_signs () =
   (* Arith has no cache overlap: its prediction is exact.  Use the
      cheap dcache dims to keep this fast: build a study by hand. *)
   let o =
-    Dse.Optimizer.run ~dims:Arch.Param.dcache_size_dims
+    Leon2.Optimizer.run ~dims:Arch.Param.dcache_size_dims
       ~weights:Dse.Cost.runtime_weights Apps.Registry.arith
   in
-  let base = o.Dse.Optimizer.model.Dse.Measure.base.Dse.Cost.seconds in
-  let predicted = o.Dse.Optimizer.predicted.Dse.Optimizer.seconds in
-  let actual = o.Dse.Optimizer.actual.Dse.Cost.seconds in
+  let base = o.Leon2.Optimizer.model.Leon2.Measure.base.Dse.Cost.seconds in
+  let predicted = o.Leon2.Optimizer.predicted.Leon2.Optimizer.seconds in
+  let actual = o.Leon2.Optimizer.actual.Dse.Cost.seconds in
   check_bool "exact prediction for arith" true
     (Float.abs (predicted -. actual) /. base < 1e-6)
 
 (* --- Multi-application optimization --- *)
 
 let test_multiapp_validation () =
-  (match Dse.Multiapp.optimize ~weights:Dse.Cost.runtime_weights [] with
+  (match Leon2.Multiapp.optimize ~weights:Dse.Cost.runtime_weights [] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "empty workload must be rejected");
   match
-    Dse.Multiapp.optimize ~weights:Dse.Cost.runtime_weights
+    Leon2.Multiapp.optimize ~weights:Dse.Cost.runtime_weights
       [ (Apps.Registry.arith, -1.0) ]
   with
   | exception Invalid_argument _ -> ()
@@ -216,28 +218,28 @@ let test_multiapp_single_equals_solo () =
   (* A one-application "mix" must reproduce the solo optimization. *)
   let dims = Arch.Param.dcache_size_dims in
   let solo =
-    Dse.Optimizer.run ~dims ~weights:Dse.Cost.runtime_weights Apps.Registry.arith
+    Leon2.Optimizer.run ~dims ~weights:Dse.Cost.runtime_weights Apps.Registry.arith
   in
   let mix =
-    Dse.Multiapp.optimize ~dims ~weights:Dse.Cost.runtime_weights
+    Leon2.Multiapp.optimize ~dims ~weights:Dse.Cost.runtime_weights
       [ (Apps.Registry.arith, 5.0) ]
   in
   check_bool "identical configuration" true
-    (Arch.Config.equal solo.Dse.Optimizer.config mix.Dse.Multiapp.config)
+    (Arch.Config.equal solo.Leon2.Optimizer.config mix.Leon2.Multiapp.config)
 
 let test_multiapp_compromise () =
   (* DRR wants a big dcache, Arith a small one; the mix must not hurt
      either beyond its solo optimum and must improve the blend. *)
   let mix =
-    Dse.Multiapp.optimize ~dims:Arch.Param.dcache_size_dims
+    Leon2.Multiapp.optimize ~dims:Arch.Param.dcache_size_dims
       ~weights:Dse.Cost.runtime_weights
       [ (Apps.Registry.drr, 0.5); (Apps.Registry.arith, 0.5) ]
   in
-  check_bool "mix improves" true (mix.Dse.Multiapp.mix_gain_percent <= 0.0);
+  check_bool "mix improves" true (mix.Leon2.Multiapp.mix_gain_percent <= 0.0);
   List.iter
     (fun (app, change) ->
       check_bool (app.Apps.Registry.name ^ " not degraded") true (change <= 0.01))
-    mix.Dse.Multiapp.per_app
+    mix.Leon2.Multiapp.per_app
 
 (* --- Plot --- *)
 
@@ -298,40 +300,27 @@ let test_plot_degenerate () =
   check_bool "flat series" true
     (String.contains (render [ (1.0, 5.0); (2.0, 5.0) ]) '*')
 
-(* --- Parallel map --- *)
-
-let test_parallel_map_order () =
-  let xs = List.init 37 Fun.id in
-  Alcotest.(check (list int))
-    "order preserved"
-    (List.map (fun x -> x * x) xs)
-    (Dse.Parallel.map ~jobs:4 (fun x -> x * x) xs);
-  Alcotest.(check (list int)) "empty list" [] (Dse.Parallel.map ~jobs:4 Fun.id [])
-
-let test_parallel_map_exception () =
-  match
-    Dse.Parallel.map ~jobs:3
-      (fun x -> if x = 5 then failwith "boom" else x)
-      (List.init 10 Fun.id)
-  with
-  | exception Failure m -> Alcotest.(check string) "propagated" "boom" m
-  | _ -> Alcotest.fail "expected the worker exception"
+(* --- Parallel model building --- *)
 
 let test_parallel_build_identical () =
-  (* Parallel model building is a pure fan-out: any job count yields
-     the sequential result bit for bit. *)
-  let key m =
-    List.map
-      (fun (r : Dse.Measure.row) ->
-        ( r.Dse.Measure.var.Arch.Param.index,
-          r.Dse.Measure.cost.Dse.Cost.seconds,
-          r.Dse.Measure.cost.Dse.Cost.resources ))
-      m.Dse.Measure.rows
+  (* Model building fans its per-variable measurements out on the
+     pool: on a cold engine, every row must be bit-identical to a
+     serial evaluation of its configuration on a fresh engine. *)
+  Dse.Engine.clear (Dse.Engine.default ());
+  let app = Apps.Registry.arith in
+  let model = Leon2.Measure.build ~dims:Arch.Param.dcache_size_dims app in
+  let fresh = Dse.Engine.create () in
+  let serial config =
+    Dse.Engine.eval_on fresh Dse.Target_leon2.probe app config
   in
-  let dims = Arch.Param.dcache_size_dims in
-  let seq = Dse.Measure.build ~dims ~jobs:1 Apps.Registry.arith in
-  let par = Dse.Measure.build ~dims ~jobs:3 Apps.Registry.arith in
-  check_bool "identical models" true (key seq = key par)
+  check_int "8 rows" 8 (List.length model.Leon2.Measure.rows);
+  check_bool "base identical" true
+    (compare model.Leon2.Measure.base (serial Arch.Config.base) = 0);
+  List.iter
+    (fun (r : Leon2.Measure.row) ->
+      check_bool r.Leon2.Measure.var.Arch.Param.label true
+        (compare r.Leon2.Measure.cost (serial r.Leon2.Measure.config) = 0))
+    model.Leon2.Measure.rows
 
 (* --- Generic domain: scheduler tuning --- *)
 
@@ -371,13 +360,13 @@ let test_generic_weight_validation () =
 let test_fig2_structure () =
   let f = Dse.Report.run_fig2 Apps.Registry.arith in
   check_int "28 points" 28 (List.length f.Dse.Report.points);
-  check_bool "optimal is feasible" true (f.Dse.Report.optimal.Dse.Exhaustive.cost <> None)
+  check_bool "optimal is feasible" true (f.Dse.Report.optimal.Leon2.Exhaustive.cost <> None)
 
 let test_fig3_structure () =
   let f = Dse.Report.run_fig3 Apps.Registry.arith in
-  check_int "8 model rows" 8 (List.length f.Dse.Report.model.Dse.Measure.rows);
+  check_int "8 model rows" 8 (List.length f.Dse.Report.model.Leon2.Measure.rows);
   check_bool "selection decodes" true
-    (Arch.Config.is_valid f.Dse.Report.outcome.Dse.Optimizer.config)
+    (Arch.Config.is_valid f.Dse.Report.outcome.Leon2.Optimizer.config)
 
 let test_changed_params () =
   let c =
@@ -385,21 +374,21 @@ let test_changed_params () =
       Arch.Config.dcache = { Arch.Config.base.Arch.Config.dcache with way_kb = 32 };
       iu = { Arch.Config.base.Arch.Config.iu with icc_hold = false } }
   in
-  let params = Dse.Report.changed_params c in
+  let params = Dse.Target_leon2.changed_params c in
   check_int "two changes" 2 (List.length params);
   check_bool "dcache size listed" true (List.mem_assoc "dcachsetsz" params);
   check_bool "icc hold listed" true (List.mem_assoc "icchold" params);
   check_int "base changes nothing" 0
-    (List.length (Dse.Report.changed_params Arch.Config.base))
+    (List.length (Dse.Target_leon2.changed_params Arch.Config.base))
 
 let test_fig6_rows_complete () =
-  let model = Dse.Measure.build Apps.Registry.blastn in
+  let model = Leon2.Measure.build Apps.Registry.blastn in
   let rows = Dse.Report.run_fig6 model in
   check_int "eight rows as in the paper" 8 (List.length rows);
   List.iter
-    (fun ((r : Dse.Measure.row), (label, _, _, _)) ->
+    (fun ((r : Leon2.Measure.row), (label, _, _, _)) ->
       check_bool (label ^ " maps to a measured row") true
-        (r.Dse.Measure.cost.Dse.Cost.seconds > 0.0))
+        (r.Leon2.Measure.cost.Dse.Cost.seconds > 0.0))
     rows
 
 let test_paper_reference_data () =
@@ -454,8 +443,6 @@ let () =
         ] );
       ( "parallel",
         [
-          Alcotest.test_case "order" `Quick test_parallel_map_order;
-          Alcotest.test_case "exception" `Quick test_parallel_map_exception;
           Alcotest.test_case "identical model" `Quick test_parallel_build_identical;
         ] );
       ( "generic",

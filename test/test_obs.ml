@@ -242,7 +242,7 @@ let test_trace_across_domains () =
   in
   with_tracing (fun () ->
       let results =
-        Dse.Parallel.map ~jobs:4
+        Dse.Pool.map (Dse.Pool.default ())
           (fun i ->
             Obs.Span.with_ ~cat:"test" "worker-span" (fun () ->
                 spin ();
@@ -256,7 +256,8 @@ let test_trace_across_domains () =
           (fun (e : Obs.Trace.event) -> e.Obs.Trace.name = "worker-span")
           (Obs.Trace.events ())
       in
-      (* parallel.map itself adds one span on the caller's domain *)
+      (* Pool.map's own pool.batch span, on the caller's domain, is
+         not a worker-span *)
       check_int "every worker span captured" 8 (List.length spans);
       check_bool "workers recorded under their own domain ids" true
         (List.length

@@ -192,7 +192,7 @@ let netlist_cross_check_qtest =
     QCheck.(make Gen.int)
     (fun seed ->
       let rng = Sim.Rng.create ~seed in
-      let c = Dse.Heuristic.random_config rng in
+      let c = Dse.Target_leon2.random_config rng in
       Synth.Netlist.resources (Synth.Netlist.elaborate c)
       = Synth.Estimate.config c)
 
