@@ -14,7 +14,9 @@
    entry (git rev, experiment, numeric metrics) to the history file,
    and --check compares the fresh run against the median of the last
    runs first — relative thresholds per metric family — exiting
-   nonzero if any experiment regressed. *)
+   nonzero if any experiment regressed.  An experiment whose verified
+   runtimes fall outside their static bounds fails the run the same
+   way, with or without --check. *)
 
 module Leon2 = Dse.Leon2.S
 
@@ -293,7 +295,12 @@ let git_rev () =
 
 exception Bail of int
 
-let run_experiment ~history_path ~check ~rev ~profiling regressions name =
+(* Besides the history gate, an experiment fails the run when one of
+   its verified runtimes fell outside its static bounds
+   ([dse.bounds.violations]): the bounds analysis or the simulator is
+   wrong. *)
+let run_experiment ~history_path ~check ~rev ~profiling ~violated regressions
+    name =
   match List.assoc_opt name experiments with
   | Some f ->
       let before = Obs.Metrics.snapshot () in
@@ -306,6 +313,14 @@ let run_experiment ~history_path ~check ~rev ~profiling regressions name =
           Format.printf "@.");
       let wall_ns = Int64.sub (Obs.Clock.now_ns ()) t0 in
       let after = Obs.Metrics.snapshot () in
+      let violations =
+        Obs.Metrics.counter_value after "dse.bounds.violations"
+        - Obs.Metrics.counter_value before "dse.bounds.violations"
+      in
+      if violations > 0 then begin
+        Format.eprintf "%s: %d static-bounds violation(s)@." name violations;
+        violated := true
+      end;
       let ms = measurements ~wall_ns ~before ~after in
       let profiler =
         if profiling then
@@ -357,17 +372,19 @@ let main names check history rev obs =
       lazy (match rev with Some r -> r | None -> git_rev ())
     in
     let profiling = obs.Obs_cli.profile_out <> None in
-    let regressions = ref [] in
-    let run = run_experiment ~history_path ~check ~rev ~profiling regressions in
+    let regressions = ref [] and violated = ref false in
+    let run =
+      run_experiment ~history_path ~check ~rev ~profiling ~violated regressions
+    in
     (match names with
     | [] -> List.iter (fun (n, _) -> run n) experiments
     | names -> List.iter run names);
-    match !regressions with
-    | [] -> 0
+    (match !regressions with
+    | [] -> ()
     | regs ->
         Format.eprintf "bench --check: %d experiment(s) regressed@."
-          (List.length regs);
-        1
+          (List.length regs));
+    if !regressions = [] && not !violated then 0 else 1
   in
   match body () with code -> code | exception Bail code -> code
 

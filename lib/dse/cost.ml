@@ -2,17 +2,6 @@ type t = { seconds : float; resources : Synth.Resource.t }
 
 type deltas = { rho : float; lambda : float; beta : float }
 
-let deltas ~base c =
-  {
-    rho = 100.0 *. (c.seconds -. base.seconds) /. base.seconds;
-    lambda =
-      Synth.Resource.lut_percent c.resources
-      -. Synth.Resource.lut_percent base.resources;
-    beta =
-      Synth.Resource.bram_percent c.resources
-      -. Synth.Resource.bram_percent base.resources;
-  }
-
 type weights = { w1 : float; w2 : float }
 
 let runtime_weights = { w1 = 100.0; w2 = 1.0 }
@@ -20,9 +9,6 @@ let resource_weights = { w1 = 1.0; w2 = 100.0 }
 let runtime_only = { w1 = 100.0; w2 = 0.0 }
 
 let objective w d = (w.w1 *. d.rho) +. (w.w2 *. (d.lambda +. d.beta))
-
-let headroom_luts c = 100.0 -. Synth.Resource.lut_percent c.resources
-let headroom_brams c = 100.0 -. Synth.Resource.bram_percent c.resources
 
 let pp ppf c =
   Fmt.pf ppf "%.3f s, %a" c.seconds Synth.Resource.pp c.resources

@@ -6,13 +6,14 @@
 
     - [rho]: runtime delta as a percentage {e of the base runtime};
     - [lambda]: LUT delta in percentage points {e of the device};
-    - [beta]: BRAM delta in percentage points {e of the device}. *)
+    - [beta]: BRAM delta in percentage points {e of the device}.
+
+    The device is the target's: {!Stack.Make} computes [deltas] and the
+    headroom from [T.device_luts] and [T.device_brams]. *)
 
 type t = { seconds : float; resources : Synth.Resource.t }
 
 type deltas = { rho : float; lambda : float; beta : float }
-
-val deltas : base:t -> t -> deltas
 
 type weights = { w1 : float; w2 : float }
 
@@ -27,12 +28,5 @@ val runtime_only : weights
 
 val objective : weights -> deltas -> float
 (** [w1 rho + w2 (lambda + beta)]. *)
-
-val headroom_luts : t -> float
-(** Unused LUTs after this configuration, in percent of the device
-    (the paper's L). *)
-
-val headroom_brams : t -> float
-(** The paper's B. *)
 
 val pp : t Fmt.t

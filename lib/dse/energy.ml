@@ -87,41 +87,40 @@ let epsilon app ~base (var : Arch.Param.var) =
   let m = measure app (var.Arch.Param.apply reference) in
   100.0 *. (m.millijoules -. ref_m.millijoules) /. base.millijoules
 
+(* The paper's problem with a third objective term: solver variable j
+   is model row j, so the energy weight adds to [make]'s objective
+   entry by entry. *)
 let optimize ~weights app =
   let model = Measure.build app in
   let base = measure app Arch.Config.base in
-  let eps = Hashtbl.create 64 in
-  List.iter
-    (fun (r : Measure.row) ->
-      Hashtbl.add eps r.Measure.var.Arch.Param.index
-        (epsilon app ~base r.Measure.var))
-    model.Measure.rows;
-  let objective (r : Measure.row) =
-    let d = r.Measure.deltas in
-    (weights.w1 *. d.Cost.rho)
-    +. (weights.w2 *. (d.Cost.lambda +. d.Cost.beta))
-    +. (weights.w3 *. Hashtbl.find eps r.Measure.var.Arch.Param.index)
+  let eps =
+    Array.of_list
+      (List.map
+         (fun (r : Measure.row) -> epsilon app ~base r.Measure.var)
+         model.Measure.rows)
   in
-  let problem = Formulate.make_custom ~objective model in
-  let solved =
-    Optim.Binlp.solve ~runner:(Pool.solver_runner (Pool.default ())) problem
+  let problem =
+    Formulate.make { Cost.w1 = weights.w1; w2 = weights.w2 } model
   in
-  match solved.Optim.Binlp.best with
-  | None -> failwith "Energy.optimize: infeasible"
-  | Some solution ->
-      let selected = Formulate.vars_of_solution model solution in
-      let config = Arch.Param.apply_all Arch.Config.base selected in
-      let actual = measure app config in
-      {
-        base;
-        selected;
-        config;
-        actual;
-        runtime_change_percent =
-          100.0 *. (actual.seconds -. base.seconds) /. base.seconds;
-        energy_change_percent =
-          100.0 *. (actual.millijoules -. base.millijoules) /. base.millijoules;
-      }
+  let objective =
+    Array.mapi
+      (fun j o -> o +. (weights.w3 *. eps.(j)))
+      problem.Optim.Binlp.objective
+  in
+  let solution, _ = Stack.solve { problem with Optim.Binlp.objective } in
+  let selected = Formulate.vars_of_solution model solution in
+  let config = decode selected in
+  let actual = measure app config in
+  {
+    base;
+    selected;
+    config;
+    actual;
+    runtime_change_percent =
+      100.0 *. (actual.seconds -. base.seconds) /. base.seconds;
+    energy_change_percent =
+      100.0 *. (actual.millijoules -. base.millijoules) /. base.millijoules;
+  }
 
 let print_outcome ppf o =
   Format.fprintf ppf "  reconfigured: %s@."

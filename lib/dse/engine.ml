@@ -375,18 +375,6 @@ let map t f xs =
       Pool.map (Pool.default ()) f xs
   | None -> List.map (fun x -> Pool.run_inline (fun () -> f x)) xs
 
-(* Force lazily compiled programs before any pool fan-out: [Lazy] is
-   not domain-safe. *)
-let force_programs apps =
-  let seen = Hashtbl.create 8 in
-  List.iter
-    (fun (app : Apps.Registry.t) ->
-      if not (Hashtbl.mem seen app.Apps.Registry.name) then begin
-        Hashtbl.add seen app.Apps.Registry.name ();
-        ignore (Lazy.force app.Apps.Registry.program)
-      end)
-    apps
-
 (* Collapse a keyed batch to its distinct requests (first occurrence
    order), counting (and journalling) the collapsed repeats, evaluate
    the distinct ones on the pool, and fan the results back out in
@@ -418,24 +406,6 @@ let batch ~span_name ~journal_dedup t keyed evaluate =
   let by_key = Hashtbl.create 64 in
   List.iter2 (fun (k, _) r -> Hashtbl.replace by_key k r) uniques results;
   List.map (fun (k, _) -> Hashtbl.find by_key k) keyed
-
-let eval_all_on ?noise t probe pairs =
-  match pairs with
-  | [] -> []
-  | [ (app, config) ] -> [ eval_on ?noise t probe app config ]
-  | _ ->
-      force_programs (List.map fst pairs);
-      let keyed =
-        List.map
-          (fun (app, config) -> (key_of ?noise probe app config, (app, config)))
-          pairs
-      in
-      batch ~span_name:"engine.eval_all" t keyed
-        ~journal_dedup:(fun (app, config) ->
-          if Obs.Journal.enabled () then
-            Obs.Journal.record ~kind:"engine.dedup"
-              (journal_fields probe app config))
-        (fun (app, config) -> eval_on_uncounted ?noise t probe app config)
 
 let eval_all_feasible_on ?noise t probe app configs =
   match configs with

@@ -92,24 +92,6 @@ val eval_feasible_on :
     and the returned cost; over-capacity configurations are cached
     without ever reaching the simulator. *)
 
-val eval_segments_on :
-  ?noise:float ->
-  t ->
-  'c Target.probe ->
-  phase:string ->
-  segmented:(Apps.Registry.t -> 'c -> float * Sim.Profiler.t * Sim.Profiler.t list) ->
-  Apps.Registry.t ->
-  'c ->
-  Cost.t * Sim.Profiler.t list
-(** Per-phase measurement: like {!eval_on}, but the simulation is the
-    caller-supplied [segmented] function returning [(seconds,
-    whole-run profile, per-phase profiles)], and the memo key is
-    extended with [phase] — the segmentation digest (see
-    {!Sim.Phase.digest}) — so the same configuration's whole-run and
-    per-phase measurements coexist in the cache, and two different
-    segmentations never collide.  [segmented] must be deterministic
-    for the [(phase, configuration)] pair. *)
-
 val eval_all_segments_on :
   ?noise:float ->
   t ->
@@ -119,8 +101,16 @@ val eval_all_segments_on :
   Apps.Registry.t ->
   'c list ->
   (Cost.t * Sim.Profiler.t list) list
-(** Batch {!eval_segments_on} for one application, in input order,
-    with the same deduplication and pooling as {!eval_all_on}. *)
+(** Per-phase measurement of a batch of configurations of one
+    application, in input order, with the same deduplication and
+    pooling as {!eval_all_feasible_on}.  The simulation is the
+    caller-supplied [segmented] function returning [(seconds,
+    whole-run profile, per-phase profiles)], and the memo key is
+    extended with [phase] — the segmentation digest (see
+    {!Sim.Phase.digest}) — so the same configuration's whole-run and
+    per-phase measurements coexist in the cache, and two different
+    segmentations never collide.  [segmented] must be deterministic
+    for the [(phase, configuration)] pair. *)
 
 type admission =
   | Infeasible  (** structurally invalid or exceeds the device *)
@@ -152,12 +142,6 @@ val eval_bounded_on :
     Pruning is exact, not heuristic: searches driven through this path
     select byte-identical winners, just with fewer simulations. *)
 
-val eval_all_on :
-  ?noise:float -> t -> 'c Target.probe -> (Apps.Registry.t * 'c) list -> Cost.t list
-(** Batch {!eval_on}, in input order.  Repeated requests are collapsed
-    before scheduling (counted as [dse.engine.inflight_dedup]) and the
-    distinct ones fan out under {!map}. *)
-
 val eval_all_feasible_on :
   ?noise:float ->
   t ->
@@ -165,5 +149,7 @@ val eval_all_feasible_on :
   Apps.Registry.t ->
   'c list ->
   Cost.t option list
-(** Batch {!eval_feasible_on} for one application, in input order,
-    with the same deduplication and pooling as {!eval_all_on}. *)
+(** Batch {!eval_feasible_on} for one application, in input order.
+    Repeated requests are collapsed before scheduling (counted as
+    [dse.engine.inflight_dedup]) and the distinct ones fan out under
+    {!map}. *)

@@ -118,37 +118,32 @@ module Make (D : DOMAIN) = struct
     let problem =
       { Optim.Binlp.nvars; objective; groups; constraints = budget_constraints }
     in
-    let solved =
-      Optim.Binlp.solve ~runner:(Pool.solver_runner (Pool.default ())) problem
+    let solution, _ = Stack.solve problem in
+    let chosen =
+      List.filter (fun j -> solution.Optim.Binlp.x.(j)) (List.init nvars Fun.id)
     in
-    match solved.Optim.Binlp.best with
-    | None -> failwith (D.name ^ ": no feasible selection")
-    | Some solution ->
-        let chosen =
-          List.filter (fun j -> solution.Optim.Binlp.x.(j)) (List.init nvars Fun.id)
-        in
-        let config =
-          List.fold_left (fun c j -> oarr.(j).o_apply c) D.base chosen
-        in
-        let predicted =
-          Array.init ndims (fun d ->
-              List.fold_left (fun acc j -> acc +. oarr.(j).o_deltas.(d)) 0.0 chosen)
-        in
-        let actual_costs = D.measure config in
-        let actual =
-          Array.init ndims (fun d ->
-              100.0 *. (actual_costs.(d) -. base_costs.(d)) /. base_costs.(d))
-        in
-        {
-          base_costs;
-          rows =
-            List.map
-              (fun o ->
-                { group = fst o.o_labels; option_label = snd o.o_labels; deltas = o.o_deltas })
-              opts;
-          selected = List.map (fun j -> oarr.(j).o_labels) chosen;
-          config;
-          predicted;
-          actual;
-        }
+    let config =
+      List.fold_left (fun c j -> oarr.(j).o_apply c) D.base chosen
+    in
+    let predicted =
+      Array.init ndims (fun d ->
+          List.fold_left (fun acc j -> acc +. oarr.(j).o_deltas.(d)) 0.0 chosen)
+    in
+    let actual_costs = D.measure config in
+    let actual =
+      Array.init ndims (fun d ->
+          100.0 *. (actual_costs.(d) -. base_costs.(d)) /. base_costs.(d))
+    in
+    {
+      base_costs;
+      rows =
+        List.map
+          (fun o ->
+            { group = fst o.o_labels; option_label = snd o.o_labels; deltas = o.o_deltas })
+          opts;
+      selected = List.map (fun j -> oarr.(j).o_labels) chosen;
+      config;
+      predicted;
+      actual;
+    }
 end

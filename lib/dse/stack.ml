@@ -37,6 +37,20 @@ let m_schedule_gain =
   Obs.Metrics.Gauge.v "dse.schedule.gain_pct"
     ~help:"last scheduled-vs-static runtime gain (percent, net of switches)"
 
+(** The one exact solve: {!Optim.Binlp.solve} on the default pool's
+    runner.  Returns the best solution, a node-limited incumbent
+    included, and the number of nodes explored.
+    @raise Failure if no assignment satisfies the constraints. *)
+let solve ?objective_terms problem =
+  let solved =
+    Optim.Binlp.solve
+      ~runner:(Pool.solver_runner (Pool.default ()))
+      ?objective_terms problem
+  in
+  match solved.Optim.Binlp.best with
+  | None -> failwith "BINLP infeasible"
+  | Some solution -> (solution, solved.Optim.Binlp.nodes)
+
 module Make (T : Target.S) = struct
   (* Device-relative percentages: identical to {!Synth.Resource}'s for
      the LEON2 instance (same device), target-specific otherwise. *)
@@ -66,6 +80,14 @@ module Make (T : Target.S) = struct
 
   let headroom_luts (c : Cost.t) = 100.0 -. lut_percent c.Cost.resources
   let headroom_brams (c : Cost.t) = 100.0 -. bram_percent c.Cost.resources
+
+  (** The configuration a solver's selection encodes.
+      @raise Failure if it breaks the target's validity rules. *)
+  let decode selected =
+    let config = T.apply_all T.base selected in
+    match T.validate config with
+    | Ok () -> config
+    | Error m -> failwith (T.name ^ ": decoded configuration invalid: " ^ m)
 
   (** The perturb-one-at-a-time measurement harness, the paper's model
       building step: per decision variable, build the configuration
@@ -174,40 +196,50 @@ module Make (T : Target.S) = struct
         [(1 + x_w2 + 2 x_w3 + 3 x_w4)] and its per-way size deltas.
         The paper keeps LUTs linear and BRAMs nonlinear; [variant]
         swaps either (its "LUTs%-nonlin" and "BRAM%-lin" rows).
-      [make_custom] takes any per-variable objective (energy's);
+      There is one builder, [make_schedule]: a static configuration is
+      the one-phase schedule, and [make] is that problem, solver
+      variable [j] being model row [j] (energy adds its term to the
+      objective entry by entry).  {!solve} solves either problem and
+      {!decode} turns a selection into a configuration.
       [predicted_deltas] is the superposition estimate the solver
       believes: rho summed, lambda/beta by [variant]'s forms. *)
   module Formulate = struct
-    (* Solver variable j <-> model row j. *)
-    let index_table (model : Measure.model) =
-      let tbl = Hashtbl.create 64 in
-      List.iteri
-        (fun j (r : Measure.row) -> Hashtbl.add tbl r.Measure.var.T.index j)
-        model.Measure.rows;
-      tbl
+    (* Every helper takes one phase's slot lookup: [slot.(i)] is the
+       solver variable of paper index [i], [-1] outside the model. *)
+    let slot_of (vars : (int * Measure.row) list) =
+      let slot = Array.make (T.var_count + 1) (-1) in
+      List.iter
+        (fun (j, (r : Measure.row)) -> slot.(r.Measure.var.T.index) <- j)
+        vars;
+      slot
 
-    let solver_var tbl paper_index = Hashtbl.find_opt tbl paper_index
+    let var_in slot i = if slot.(i) < 0 then None else Some slot.(i)
+
+    (* A model's deltas by paper index (zero outside the model). *)
+    let deltas_of (model : Measure.model) =
+      let zero = { Cost.rho = 0.0; lambda = 0.0; beta = 0.0 } in
+      let d = Array.make (T.var_count + 1) zero in
+      List.iter
+        (fun (r : Measure.row) -> d.(r.Measure.var.T.index) <- r.Measure.deltas)
+        model.Measure.rows;
+      d
 
     (* A cache's ways factor: the explicit multipliers of [T.products]
        on top of the implicit single base way. *)
-    let product_factor tbl pairs =
+    let product_factor slot pairs =
       let coeffs =
         List.filter_map
-          (fun (i, m) ->
-            match solver_var tbl i with Some j -> Some (j, m) | None -> None)
+          (fun (i, m) -> Option.map (fun j -> (j, m)) (var_in slot i))
           pairs
       in
       { Optim.Binlp.coeffs; const = 1.0 }
 
-    let lin_of tbl (model : Measure.model) get indices =
+    let lin_of slot deltas get indices =
       let coeffs =
         List.filter_map
           (fun i ->
-            match solver_var tbl i with
-            | Some j ->
-                let r = List.nth model.Measure.rows j in
-                Some (j, get r.Measure.deltas)
-            | None -> None)
+            let j = slot.(i) in
+            if j < 0 then None else Some (j, get deltas.(i)))
           indices
       in
       { Optim.Binlp.coeffs; const = 0.0 }
@@ -224,23 +256,23 @@ module Make (T : Target.S) = struct
        metric, as constraint terms.  Nonlinear: per-cache products of
        the ways factor and the per-way size deltas, plus everything
        else linear; the paper's Section 4 FPGA resource constraints. *)
-    let resource_terms tbl model get ~nonlinear =
+    let resource_terms slot deltas get ~nonlinear =
       if not nonlinear then
-        [ Optim.Binlp.Lin (lin_of tbl model get (range 1 T.var_count)) ]
+        [ Optim.Binlp.Lin (lin_of slot deltas get (range 1 T.var_count)) ]
       else
         List.map
           (fun (factor, sizes) ->
             Optim.Binlp.Prod
-              (product_factor tbl factor, lin_of tbl model get sizes))
+              (product_factor slot factor, lin_of slot deltas get sizes))
           T.products
-        @ [ Optim.Binlp.Lin (lin_of tbl model get linear_indices) ]
+        @ [ Optim.Binlp.Lin (lin_of slot deltas get linear_indices) ]
 
-    let coupling tbl antecedent consequents =
+    let coupling slot antecedent consequents =
       (* antecedent <= sum of consequents, i.e. x_a - sum x_c <= 0. *)
-      match solver_var tbl antecedent with
+      match var_in slot antecedent with
       | None -> None
       | Some ja ->
-          let cons = List.filter_map (solver_var tbl) consequents in
+          let cons = List.filter_map (var_in slot) consequents in
           if cons = [] then
             (* No way to satisfy the coupling: forbid the antecedent. *)
             Some
@@ -257,76 +289,25 @@ module Make (T : Target.S) = struct
                  }
                  Optim.Binlp.Le 0.0)
 
-    let make_custom ~objective ?(variant = paper_variant) (model : Measure.model)
-        =
-      let tbl = index_table model in
-      let rows = Array.of_list model.Measure.rows in
-      let nvars = Array.length rows in
-      let objective = Array.map objective rows in
-      let groups =
-        List.filter_map
-          (fun g ->
-            let members =
-              List.filter_map
-                (fun v -> solver_var tbl v.T.index)
-                (T.group_members g)
-            in
-            if List.length members >= 2 then Some members else None)
-          T.groups
-      in
-      let couplings =
-        List.filter_map (fun (a, cs) -> coupling tbl a cs) T.couplings
-      in
-      let lut_terms =
-        resource_terms tbl model
-          (fun d -> d.Cost.lambda)
-          ~nonlinear:variant.lut_nonlinear
-      in
-      let bram_terms =
-        resource_terms tbl model
-          (fun d -> d.Cost.beta)
-          ~nonlinear:(not variant.bram_linear)
-      in
-      let resource_constraints =
-        [
-          { Optim.Binlp.terms = lut_terms; rel = Optim.Binlp.Le;
-            bound = headroom_luts model.Measure.base };
-          { Optim.Binlp.terms = bram_terms; rel = Optim.Binlp.Le;
-            bound = headroom_brams model.Measure.base };
-        ]
-      in
-      {
-        Optim.Binlp.nvars;
-        objective;
-        groups;
-        constraints = couplings @ resource_constraints;
-      }
-
-    let make ?variant (weights : Cost.weights) model =
-      make_custom
-        ~objective:(fun (r : Measure.row) ->
-          Cost.objective weights r.Measure.deltas)
-        ?variant model
-
     (* {2 Schedule formulation}
 
        Phase-scheduled selection: every runtime-reconfigurable model
-       row gets one solver variable {e per phase}; rows of the groups
-       in [T.static_groups] keep a single variable shared by all
-       phases.  Objective: per-phase runtime deltas (from the
-       per-phase models) plus the resource deltas averaged over the
-       phases, so a row selected in every phase contributes exactly
-       its static objective; pairwise product terms charge
-       [T.group_switch_cycles] whenever adjacent phases — and the
-       wrap-around repetition boundary — disagree on a group's value.
-       With one phase the formulation degenerates to {!make}
-       exactly. *)
+       row gets one solver variable {e per phase}; with two or more
+       phases, rows of the groups in [T.static_groups] keep a single
+       variable shared by all phases.  Objective: per-phase runtime
+       deltas (from the per-phase models) plus the resource deltas
+       averaged over the phases, so a row selected in every phase
+       contributes exactly its static objective; pairwise product terms
+       charge [T.group_switch_cycles] whenever adjacent phases — and,
+       with two or more phases, the wrap-around repetition boundary —
+       disagree on a group's value.  With one phase the layout is the
+       model's row order and there are no switch terms: that problem
+       is {!make}. *)
 
     type schedule = {
       problem : Optim.Binlp.problem;
       switch_terms : Optim.Binlp.term list;
-          (* pass as [Optim.Binlp.solve]'s [objective_terms] *)
-      phases : int;
+          (* pass as {!solve}'s [objective_terms] *)
       slots : (int * Measure.row) list array;
           (* per phase: (solver variable, row); static rows repeat
              their shared variable in every phase *)
@@ -343,253 +324,200 @@ module Make (T : Target.S) = struct
                  compare a.T.index b.T.index))
         sched.slots
 
+    (** @raise Invalid_argument without models, or when the phase
+        models' rows differ in their variables or order. *)
     let make_schedule ?(variant = paper_variant) ~reps
         ~(weights : Cost.weights) (models : Measure.model list) =
-      match models with
-      | [] -> invalid_arg "Formulate.make_schedule: no phase models"
-      | [ model ] ->
-          {
-            problem = make ~variant weights model;
-            switch_terms = [];
-            phases = 1;
-            slots = [| List.mapi (fun j r -> (j, r)) model.Measure.rows |];
-          }
-      | first :: _ ->
-          let marr = Array.of_list models in
-          let nphases = Array.length marr in
-          Array.iter
-            (fun (m : Measure.model) ->
-              if List.length m.Measure.rows <> List.length first.Measure.rows
-              then
-                invalid_arg
-                  "Formulate.make_schedule: phase models disagree on rows")
-            marr;
-          let is_static (r : Measure.row) =
-            List.mem r.Measure.var.T.group T.static_groups
-          in
-          let recon, static =
-            List.partition (fun r -> not (is_static r)) first.Measure.rows
-          in
-          let n_recon = List.length recon in
-          let nvars = (nphases * n_recon) + List.length static in
-          (* paper index -> solver slot, as a function of the phase
-             (constant for static rows). *)
-          let slot_fns : (int, int -> int) Hashtbl.t = Hashtbl.create 64 in
-          List.iteri
-            (fun pos (r : Measure.row) ->
-              Hashtbl.replace slot_fns r.Measure.var.T.index (fun p ->
-                  (p * n_recon) + pos))
-            recon;
-          List.iteri
-            (fun pos (r : Measure.row) ->
-              Hashtbl.replace slot_fns r.Measure.var.T.index (fun _ ->
-                  (nphases * n_recon) + pos))
-            static;
-          let slot p i =
-            Option.map (fun f -> f p) (Hashtbl.find_opt slot_fns i)
-          in
-          (* Phase-p view of the paper-index -> solver-variable table,
-             so [coupling] and [product_factor] apply unchanged. *)
-          let tbls =
-            Array.init nphases (fun p ->
-                let h = Hashtbl.create 64 in
-                List.iter
-                  (fun (r : Measure.row) ->
-                    let i = r.Measure.var.T.index in
-                    match slot p i with
-                    | Some j -> Hashtbl.replace h i j
-                    | None -> ())
-                  first.Measure.rows;
-                h)
-          in
-          let rho_p p (r : Measure.row) =
-            (Measure.row marr.(p) r.Measure.var.T.index).Measure.deltas
-              .Cost.rho
-          in
-          let fp = float_of_int nphases in
-          let objective = Array.make nvars 0.0 in
-          List.iteri
-            (fun pos (r : Measure.row) ->
-              let d = r.Measure.deltas in
-              for p = 0 to nphases - 1 do
-                objective.((p * n_recon) + pos) <-
-                  (weights.Cost.w1 *. rho_p p r)
-                  +. (weights.Cost.w2 *. (d.Cost.lambda +. d.Cost.beta) /. fp)
-              done)
-            recon;
-          List.iteri
-            (fun pos (r : Measure.row) ->
-              let d = r.Measure.deltas in
-              let rho = ref 0.0 in
-              for p = 0 to nphases - 1 do
-                rho := !rho +. rho_p p r
-              done;
-              objective.((nphases * n_recon) + pos) <-
-                (weights.Cost.w1 *. !rho)
-                +. (weights.Cost.w2 *. (d.Cost.lambda +. d.Cost.beta)))
-            static;
-          let groups =
+      let first =
+        match models with
+        | [] -> invalid_arg "Formulate.make_schedule: no phase models"
+        | m :: _ -> m
+      in
+      let same_rows (m : Measure.model) =
+        List.equal
+          (fun (a : Measure.row) (b : Measure.row) ->
+            a.Measure.var.T.index = b.Measure.var.T.index)
+          m.Measure.rows first.Measure.rows
+      in
+      if not (List.for_all same_rows models) then
+        invalid_arg "Formulate.make_schedule: phase models disagree on rows";
+      let phase_deltas = Array.of_list (List.map deltas_of models) in
+      let nphases = Array.length phase_deltas in
+      (* One phase shares nothing: its layout is the model's row order,
+         the static problem's. *)
+      let shared (r : Measure.row) =
+        nphases >= 2 && List.mem r.Measure.var.T.group T.static_groups
+      in
+      let recon, static =
+        List.partition (fun r -> not (shared r)) first.Measure.rows
+      in
+      let n_recon = List.length recon in
+      let nvars = (nphases * n_recon) + List.length static in
+      let slots =
+        Array.init nphases (fun p ->
+            List.mapi (fun pos r -> ((p * n_recon) + pos, r)) recon
+            @ List.mapi (fun pos r -> ((nphases * n_recon) + pos, r)) static)
+      in
+      let slot = Array.map slot_of slots in
+      let rho_p p (r : Measure.row) =
+        phase_deltas.(p).(r.Measure.var.T.index).Cost.rho
+      in
+      let fp = float_of_int nphases in
+      let objective = Array.make nvars 0.0 in
+      List.iteri
+        (fun pos (r : Measure.row) ->
+          let d = r.Measure.deltas in
+          for p = 0 to nphases - 1 do
+            objective.((p * n_recon) + pos) <-
+              (weights.Cost.w1 *. rho_p p r)
+              +. (weights.Cost.w2 *. (d.Cost.lambda +. d.Cost.beta) /. fp)
+          done)
+        recon;
+      List.iteri
+        (fun pos (r : Measure.row) ->
+          let d = r.Measure.deltas in
+          let rho = ref 0.0 in
+          for p = 0 to nphases - 1 do
+            rho := !rho +. rho_p p r
+          done;
+          objective.((nphases * n_recon) + pos) <-
+            (weights.Cost.w1 *. !rho)
+            +. (weights.Cost.w2 *. (d.Cost.lambda +. d.Cost.beta)))
+        static;
+      let groups =
+        List.concat_map
+          (fun g ->
+            let members p =
+              List.filter_map
+                (fun (v : T.var) -> var_in slot.(p) v.T.index)
+                (T.group_members g)
+            in
+            let m0 = members 0 in
+            if List.length m0 < 2 then []
+            else if List.mem g T.static_groups then [ m0 ]
+            else m0 :: List.init (nphases - 1) (fun p -> members (p + 1)))
+          T.groups
+      in
+      (* Outside the model, or a shared slot (they follow the per-phase
+         copies). *)
+      let phase_independent i =
+        slot.(0).(i) < 0 || slot.(0).(i) >= nphases * n_recon
+      in
+      let couplings =
+        List.concat_map
+          (fun (a, cs) ->
+            let ps =
+              if List.for_all phase_independent (a :: cs) then [ 0 ]
+              else List.init nphases Fun.id
+            in
+            List.filter_map (fun p -> coupling slot.(p) a cs) ps)
+          T.couplings
+      in
+      let resource_constraints =
+        List.concat
+          (List.init nphases (fun p ->
+               [
+                 {
+                   Optim.Binlp.terms =
+                     resource_terms slot.(p) phase_deltas.(0)
+                       (fun d -> d.Cost.lambda)
+                       ~nonlinear:variant.lut_nonlinear;
+                   rel = Optim.Binlp.Le;
+                   bound = headroom_luts first.Measure.base;
+                 };
+                 {
+                   Optim.Binlp.terms =
+                     resource_terms slot.(p) phase_deltas.(0)
+                       (fun d -> d.Cost.beta)
+                       ~nonlinear:(not variant.bram_linear);
+                   rel = Optim.Binlp.Le;
+                   bound = headroom_brams first.Measure.base;
+                 };
+               ]))
+      in
+      (* Interior boundaries are crossed once per repetition; the
+         wrap-around switch back to phase 0 happens between
+         repetitions, i.e. [reps - 1] times, and only when there is
+         another phase to switch from. *)
+      let pairs =
+        List.init (nphases - 1) (fun p -> (p, p + 1, reps))
+        @
+        if nphases >= 2 && reps > 1 then [ (nphases - 1, 0, reps - 1) ]
+        else []
+      in
+      let base_seconds = first.Measure.base.Cost.seconds in
+      let switch_terms =
+        List.concat_map
+          (fun (p, q, mult) ->
             List.concat_map
               (fun g ->
-                let members p =
-                  List.filter_map
-                    (fun (v : T.var) -> slot p v.T.index)
-                    (T.group_members g)
-                in
-                let m0 = members 0 in
-                if List.length m0 < 2 then []
-                else if List.mem g T.static_groups then [ m0 ]
-                else List.init nphases members)
-              T.groups
-          in
-          let phase_independent i =
-            match Hashtbl.find_opt first.Measure.by_index i with
-            | Some r -> is_static r
-            | None -> true
-          in
-          let couplings =
-            List.concat_map
-              (fun (a, cs) ->
-                let ps =
-                  if List.for_all phase_independent (a :: cs) then [ 0 ]
-                  else List.init nphases Fun.id
-                in
-                List.filter_map (fun p -> coupling tbls.(p) a cs) ps)
-              T.couplings
-          in
-          let lin_of_p p get indices =
-            let coeffs =
-              List.filter_map
-                (fun i ->
-                  match Hashtbl.find_opt first.Measure.by_index i with
-                  | None -> None
-                  | Some (r : Measure.row) ->
-                      Option.map
-                        (fun j -> (j, get r.Measure.deltas))
-                        (slot p i))
-                indices
-            in
-            { Optim.Binlp.coeffs; const = 0.0 }
-          in
-          let resource_terms_p p get ~nonlinear =
-            if not nonlinear then
-              [ Optim.Binlp.Lin (lin_of_p p get (range 1 T.var_count)) ]
-            else
-              List.map
-                (fun (factor, sizes) ->
-                  Optim.Binlp.Prod
-                    (product_factor tbls.(p) factor, lin_of_p p get sizes))
-                T.products
-              @ [ Optim.Binlp.Lin (lin_of_p p get linear_indices) ]
-          in
-          let resource_constraints =
-            List.concat
-              (List.init nphases (fun p ->
-                   [
-                     {
-                       Optim.Binlp.terms =
-                         resource_terms_p p
-                           (fun d -> d.Cost.lambda)
-                           ~nonlinear:variant.lut_nonlinear;
-                       rel = Optim.Binlp.Le;
-                       bound = headroom_luts first.Measure.base;
-                     };
-                     {
-                       Optim.Binlp.terms =
-                         resource_terms_p p
-                           (fun d -> d.Cost.beta)
-                           ~nonlinear:(not variant.bram_linear);
-                       rel = Optim.Binlp.Le;
-                       bound = headroom_brams first.Measure.base;
-                     };
-                   ]))
-          in
-          (* Interior boundaries are crossed once per repetition; the
-             wrap-around switch back to phase 0 happens between
-             repetitions, i.e. [reps - 1] times. *)
-          let pairs =
-            List.init (nphases - 1) (fun p -> (p, p + 1, reps))
-            @ (if reps > 1 then [ (nphases - 1, 0, reps - 1) ] else [])
-          in
-          let base_seconds = first.Measure.base.Cost.seconds in
-          let switch_terms =
-            List.concat_map
-              (fun (p, q, mult) ->
-                List.concat_map
-                  (fun g ->
-                    let kappa = T.group_switch_cycles g in
-                    if kappa = 0 || List.mem g T.static_groups then []
-                    else
-                      let members =
-                        List.filter_map
-                          (fun (v : T.var) ->
-                            match (slot p v.T.index, slot q v.T.index) with
-                            | Some jp, Some jq -> Some (jp, jq)
-                            | _ -> None)
-                          (T.group_members g)
-                      in
-                      if members = [] then []
-                      else
-                        (* coef * (1 - [phases p and q agree on g]): a
-                           constant charge cancelled by the agreement
-                           products — same member selected on both
-                           sides, or none on both.  Different members
-                           still cost [coef] once: one slice
-                           reprogram. *)
-                        let coef =
-                          weights.Cost.w1 *. 100.
-                          *. (float_of_int mult *. float_of_int kappa
-                             /. Sim.Machine.clock_hz)
-                          /. base_seconds
-                        in
-                        Optim.Binlp.Lin { coeffs = []; const = coef }
-                        :: Optim.Binlp.Prod
+                let kappa = T.group_switch_cycles g in
+                if kappa = 0 || List.mem g T.static_groups then []
+                else
+                  let members =
+                    List.filter_map
+                      (fun (v : T.var) ->
+                        match
+                          (var_in slot.(p) v.T.index, var_in slot.(q) v.T.index)
+                        with
+                        | Some jp, Some jq -> Some (jp, jq)
+                        | _ -> None)
+                      (T.group_members g)
+                  in
+                  if members = [] then []
+                  else
+                    (* coef * (1 - [phases p and q agree on g]): a
+                       constant charge cancelled by the agreement
+                       products — same member selected on both sides,
+                       or none on both.  Different members still cost
+                       [coef] once: one slice reprogram. *)
+                    let coef =
+                      weights.Cost.w1 *. 100.
+                      *. (float_of_int mult *. float_of_int kappa
+                         /. Sim.Machine.clock_hz)
+                      /. base_seconds
+                    in
+                    Optim.Binlp.Lin { coeffs = []; const = coef }
+                    :: Optim.Binlp.Prod
+                         ( {
+                             Optim.Binlp.coeffs =
+                               List.map (fun (jp, _) -> (jp, coef)) members;
+                             const = -.coef;
+                           },
+                           {
+                             Optim.Binlp.coeffs =
+                               List.map (fun (_, jq) -> (jq, -1.0)) members;
+                             const = 1.0;
+                           } )
+                    :: List.map
+                         (fun (jp, jq) ->
+                           Optim.Binlp.Prod
                              ( {
-                                 Optim.Binlp.coeffs =
-                                   List.map (fun (jp, _) -> (jp, coef))
-                                     members;
-                                 const = -.coef;
+                                 Optim.Binlp.coeffs = [ (jp, -.coef) ];
+                                 const = 0.0;
                                },
                                {
-                                 Optim.Binlp.coeffs =
-                                   List.map (fun (_, jq) -> (jq, -1.0))
-                                     members;
-                                 const = 1.0;
-                               } )
-                        :: List.map
-                             (fun (jp, jq) ->
-                               Optim.Binlp.Prod
-                                 ( {
-                                     Optim.Binlp.coeffs = [ (jp, -.coef) ];
-                                     const = 0.0;
-                                   },
-                                   {
-                                     Optim.Binlp.coeffs = [ (jq, 1.0) ];
-                                     const = 0.0;
-                                   } ))
-                             members)
-                  T.groups)
-              pairs
-          in
-          let slots =
-            Array.init nphases (fun p ->
-                List.mapi (fun pos r -> ((p * n_recon) + pos, r)) recon
-                @ List.mapi
-                    (fun pos r -> ((nphases * n_recon) + pos, r))
-                    static)
-          in
+                                 Optim.Binlp.coeffs = [ (jq, 1.0) ];
+                                 const = 0.0;
+                               } ))
+                         members)
+              T.groups)
+          pairs
+      in
+      {
+        problem =
           {
-            problem =
-              {
-                Optim.Binlp.nvars;
-                objective;
-                groups;
-                constraints = couplings @ resource_constraints;
-              };
-            switch_terms;
-            phases = nphases;
-            slots;
-          }
+            Optim.Binlp.nvars;
+            objective;
+            groups;
+            constraints = couplings @ resource_constraints;
+          };
+        switch_terms;
+        slots;
+      }
+
+    let make ?variant (weights : Cost.weights) model =
+      (make_schedule ?variant ~reps:1 ~weights [ model ]).problem
 
     let vars_of_solution (model : Measure.model) (s : Optim.Binlp.solution) =
       List.filteri (fun j _ -> s.Optim.Binlp.x.(j)) model.Measure.rows
@@ -598,12 +526,12 @@ module Make (T : Target.S) = struct
 
     let predicted_deltas ?(variant = paper_variant) (model : Measure.model) vars
         =
-      let tbl = index_table model in
-      let nvars = List.length model.Measure.rows in
-      let x = Array.make nvars false in
+      let rows = List.mapi (fun j r -> (j, r)) model.Measure.rows in
+      let slot = slot_of rows and deltas = deltas_of model in
+      let x = Array.make (List.length rows) false in
       List.iter
         (fun (v : T.var) ->
-          match solver_var tbl v.T.index with
+          match var_in slot v.T.index with
           | Some j -> x.(j) <- true
           | None ->
               invalid_arg "Formulate.predicted_deltas: variable not in model")
@@ -621,21 +549,19 @@ module Make (T : Target.S) = struct
       in
       let rho =
         List.fold_left
-          (fun acc (r : Measure.row) ->
-            if x.(Hashtbl.find tbl r.Measure.var.T.index) then
-              acc +. r.Measure.deltas.Cost.rho
-            else acc)
-          0.0 model.Measure.rows
+          (fun acc (j, (r : Measure.row)) ->
+            if x.(j) then acc +. r.Measure.deltas.Cost.rho else acc)
+          0.0 rows
       in
       let lambda =
         eval
-          (resource_terms tbl model
+          (resource_terms slot deltas
              (fun d -> d.Cost.lambda)
              ~nonlinear:variant.lut_nonlinear)
       in
       let beta =
         eval
-          (resource_terms tbl model
+          (resource_terms slot deltas
              (fun d -> d.Cost.beta)
              ~nonlinear:(not variant.bram_linear))
       in
@@ -643,7 +569,7 @@ module Make (T : Target.S) = struct
   end
 
   (** The paper's full pipeline: model ({!Measure}), BINLP
-      ({!Formulate}), exact solve ({!Optim.Binlp}), decode, then
+      ({!Formulate}), exact solve ({!solve}), {!decode}, then
       "actual synthesis" — build the recommendation so predictions
       meet reality.  [predicted] is the solver's estimate under
       [variant]; its [_alt] fields use the swapped constraint forms.
@@ -703,67 +629,58 @@ module Make (T : Target.S) = struct
         Obs.Span.with_ ~cat:"dse" "phase.formulate" ~attrs (fun () ->
             Formulate.make ?variant weights model)
       in
-      let solved =
+      (* A node-limited incumbent is usable even if optimality was not
+         proven. *)
+      let solution, _ =
         Obs.Span.with_ ~cat:"dse" "phase.solve" ~attrs (fun () ->
-            Optim.Binlp.solve
-              ~runner:(Pool.solver_runner (Pool.default ()))
-              problem)
+            solve problem)
       in
-      (* Node_limit_reached still carries the incumbent; a feasible
-         incumbent is usable even if optimality was not proven. *)
-      match solved.Optim.Binlp.best with
-      | None -> failwith "Optimizer: BINLP infeasible"
-      | Some solution ->
-          Obs.Span.with_ ~cat:"dse" "phase.verify" ~attrs @@ fun () ->
-          let selected = Formulate.vars_of_solution model solution in
-          let config = T.apply_all T.base selected in
-          (match T.validate config with
-          | Ok () -> ()
-          | Error m ->
-              failwith ("Optimizer: decoded configuration invalid: " ^ m));
-          (* Verify-by-build is noise-free even when the model was
-             noisy: the recommendation is judged against reality. *)
-          let actual =
-            Engine.eval_on (Engine.default ()) T.probe model.Measure.app config
-          in
-          (* Sanitizer, never a prune: the verification build is part
-             of the reported outcome, so it always runs; the static
-             bounds only cross-check it.  A violation means the bounds
-             analysis or the simulator is wrong. *)
-          (match T.probe.Target.static_bounds with
-          | None -> ()
-          | Some bounds_of ->
-              let lo, hi = bounds_of model.Measure.app config in
-              Obs.Metrics.Counter.incr Bounds.m_computed;
-              if Obs.Journal.enabled () then
-                Obs.Journal.record ~kind:"bounds.verify"
-                  [
-                    ("app", Obs.Json.String app);
-                    ("config", Obs.Json.String (T.to_string config));
-                    ("lo", Obs.Json.Float lo);
-                    ("hi", Obs.Json.Float hi);
-                    ("actual", Obs.Json.Float actual.Cost.seconds);
-                    ( "tightness",
-                      match Bounds.tightness ~lo ~hi with
-                      | Some r -> Obs.Json.Float r
-                      | None -> Obs.Json.Null );
-                  ];
-              if actual.Cost.seconds < lo || actual.Cost.seconds > hi then begin
-                Obs.Metrics.Counter.incr Bounds.m_violations;
-                Format.eprintf
-                  "verify(%s/%s): runtime %.9fs outside static bounds [%.9f, \
-                   %.9f]@."
-                  T.name app actual.Cost.seconds lo hi
-              end);
-          {
-            model;
-            weights;
-            solution;
-            selected;
-            config;
-            predicted = predict ?variant model selected;
-            actual;
-          }
+      Obs.Span.with_ ~cat:"dse" "phase.verify" ~attrs @@ fun () ->
+      let selected = Formulate.vars_of_solution model solution in
+      let config = decode selected in
+      (* Verify-by-build is noise-free even when the model was noisy:
+         the recommendation is judged against reality. *)
+      let actual =
+        Engine.eval_on (Engine.default ()) T.probe model.Measure.app config
+      in
+      (* Sanitizer, never a prune: the verification build is part of
+         the reported outcome, so it always runs; the static bounds only
+         cross-check it.  A violation means the bounds analysis or the
+         simulator is wrong. *)
+      (match T.probe.Target.static_bounds with
+      | None -> ()
+      | Some bounds_of ->
+          let lo, hi = bounds_of model.Measure.app config in
+          Obs.Metrics.Counter.incr Bounds.m_computed;
+          if Obs.Journal.enabled () then
+            Obs.Journal.record ~kind:"bounds.verify"
+              [
+                ("app", Obs.Json.String app);
+                ("config", Obs.Json.String (T.to_string config));
+                ("lo", Obs.Json.Float lo);
+                ("hi", Obs.Json.Float hi);
+                ("actual", Obs.Json.Float actual.Cost.seconds);
+                ( "tightness",
+                  match Bounds.tightness ~lo ~hi with
+                  | Some r -> Obs.Json.Float r
+                  | None -> Obs.Json.Null );
+              ];
+          if actual.Cost.seconds < lo || actual.Cost.seconds > hi then begin
+            Obs.Metrics.Counter.incr Bounds.m_violations;
+            Format.eprintf
+              "verify(%s/%s): runtime %.9fs outside static bounds [%.9f, \
+               %.9f]@."
+              T.name app actual.Cost.seconds lo hi
+          end);
+      {
+        model;
+        weights;
+        solution;
+        selected;
+        config;
+        predicted = predict ?variant model selected;
+        actual;
+      }
 
     let run ?noise ?dims ?variant ~weights app =
       let model =
@@ -913,10 +830,6 @@ module Make (T : Target.S) = struct
       builds : int;
       pruned : int;
     }
-
-    let evaluate ~weights ~base app config =
-      let cost = Engine.eval_on (Engine.default ()) T.probe app config in
-      (cost, Cost.objective weights (deltas ~base cost))
 
     (* The runtime above which a feasible candidate with resource
        estimate [r] provably cannot reach an objective strictly below
@@ -1323,24 +1236,18 @@ module Make (T : Target.S) = struct
         List.map (fun (app, share) -> (Measure.build ?dims app, share)) workload
       in
       let model = combine models in
-      let problem = Formulate.make weights model in
-      let solved =
-        Optim.Binlp.solve ~runner:(Pool.solver_runner (Pool.default ())) problem
+      let solution, _ = solve (Formulate.make weights model) in
+      let selected = Formulate.vars_of_solution model solution in
+      let config = decode selected in
+      let per_app =
+        List.map (fun (app, _) -> (app, runtime_change app config)) workload
       in
-      match solved.Optim.Binlp.best with
-      | None -> failwith "Multiapp.optimize: infeasible"
-      | Some solution ->
-          let selected = Formulate.vars_of_solution model solution in
-          let config = T.apply_all T.base selected in
-          let per_app =
-            List.map (fun (app, _) -> (app, runtime_change app config)) workload
-          in
-          let mix_gain_percent =
-            List.fold_left2
-              (fun acc (_, share) (_, change) -> acc +. (share *. change))
-              0.0 workload per_app
-          in
-          { workload; selected; config; mix_gain_percent; per_app }
+      let mix_gain_percent =
+        List.fold_left2
+          (fun acc (_, share) (_, change) -> acc +. (share *. change))
+          0.0 workload per_app
+      in
+      { workload; selected; config; mix_gain_percent; per_app }
 
     let print ppf o =
       Format.fprintf ppf "  workload: %s@."
@@ -1459,184 +1366,153 @@ module Make (T : Target.S) = struct
       record_phases app phases;
       let static = Optimizer.run ?noise ~dims ~weights app in
       let static_seconds = static.Optimizer.actual.Cost.seconds in
-      (* A one-phase application, or a schedule that selects the same
-         configuration everywhere, degenerates to a static pick (no
-         switches happen, so no switch cost is paid). *)
-      let static_outcome ~nodes config =
-        let scheduled_seconds =
-          if T.equal config static.Optimizer.config then static_seconds
+      let plan, solve_nodes =
+        if nphases = 1 then (Static static.Optimizer.config, 0)
+        else begin
+          let boundaries = Sim.Phase.boundaries phases in
+          let digest = Sim.Phase.digest phases in
+          let segmented app config =
+            let ph = T.run_app_segmented ~config ~boundaries app in
+            ( Sim.Machine.seconds ph.Sim.Machine.result,
+              ph.Sim.Machine.result.Sim.Machine.profile,
+              ph.Sim.Machine.phase_profiles )
+          in
+          (* Re-measure every model row per phase: same configurations
+             as [Measure.build] (measured point and its reference), but
+             through the segmented path so the cache keys carry the
+             segmentation digest. *)
+          let model = static.Optimizer.model in
+          let rows = model.Measure.rows in
+          let configs =
+            T.base
+            :: List.concat_map
+                 (fun (r : Measure.row) ->
+                   let reference = Measure.reference_config r.Measure.var in
+                   [ r.Measure.var.T.apply reference; reference ])
+                 rows
+          in
+          let results =
+            Obs.Span.with_ ~cat:"dse" "schedule.measure"
+              ~attrs:[ ("app", Obs.Json.String app.Apps.Registry.name) ]
+              (fun () ->
+                Engine.eval_all_segments_on ?noise (Engine.default ()) T.probe
+                  ~phase:digest ~segmented app configs)
+          in
+          let sec_tbl = Hashtbl.create 64 in
+          List.iter2
+            (fun c (_, profs) ->
+              Hashtbl.replace sec_tbl
+                (T.probe.Target.digest c)
+                (Array.of_list
+                   (List.map
+                      (fun (pr : Sim.Profiler.t) ->
+                        float_of_int pr.Sim.Profiler.cycles
+                        /. Sim.Machine.clock_hz)
+                      profs)))
+            configs results;
+          let sec p c = (Hashtbl.find sec_tbl (T.probe.Target.digest c)).(p) in
+          let base_total = model.Measure.base.Cost.seconds in
+          (* Per-phase marginal runtime deltas, normalized by the whole
+             base runtime (so summing a row's rho over the phases gives
+             back its static rho). *)
+          let models =
+            List.init nphases (fun p ->
+                Measure.with_rows model
+                  (List.map
+                     (fun (r : Measure.row) ->
+                       let reference = Measure.reference_config r.Measure.var in
+                       let measured = r.Measure.var.T.apply reference in
+                       let rho =
+                         100.0
+                         *. (sec p measured -. sec p reference)
+                         /. base_total
+                       in
+                       {
+                         r with
+                         Measure.deltas = { r.Measure.deltas with Cost.rho };
+                       })
+                     rows))
+          in
+          let sched =
+            Obs.Span.with_ ~cat:"dse" "schedule.formulate"
+              ~attrs:[ ("app", Obs.Json.String app.Apps.Registry.name) ]
+              (fun () ->
+                Formulate.make_schedule ~reps:app.Apps.Registry.reps ~weights
+                  models)
+          in
+          let solution, nodes =
+            Obs.Span.with_ ~cat:"dse" "schedule.solve"
+              ~attrs:[ ("app", Obs.Json.String app.Apps.Registry.name) ]
+              (fun () ->
+                solve ~objective_terms:sched.Formulate.switch_terms
+                  sched.Formulate.problem)
+          in
+          Obs.Metrics.Counter.incr ~by:nodes m_schedule_nodes;
+          let configs =
+            Array.map decode
+              (Formulate.schedule_vars_of_solution sched solution)
+          in
+          (* A schedule that selects the same configuration everywhere
+             degenerates to a static pick: no switch happens, so no
+             switch cost is paid. *)
+          if Array.for_all (fun c -> T.equal c configs.(0)) configs then
+            (Static configs.(0), nodes)
           else
-            (Engine.eval_on (Engine.default ()) T.probe app config)
-              .Cost.seconds
-        in
-        record_select app 0 config;
-        let gain =
-          100.0 *. (static_seconds -. scheduled_seconds) /. static_seconds
-        in
-        Obs.Metrics.Gauge.set m_schedule_gain gain;
-        record_verify app ~static_seconds ~scheduled_seconds ~switch_cycles:0
-          ~gain;
-        {
-          app;
-          phases;
-          static;
-          plan = Static config;
-          static_seconds;
-          scheduled_seconds;
-          switch_cycles = 0;
-          gain_percent = gain;
-          solve_nodes = nodes;
-        }
+            ( Phased (List.combine (0 :: boundaries) (Array.to_list configs)),
+              nodes )
+        end
       in
-      if nphases = 1 then static_outcome ~nodes:0 static.Optimizer.config
-      else begin
-        let boundaries = Sim.Phase.boundaries phases in
-        let digest = Sim.Phase.digest phases in
-        let segmented app config =
-          let ph = T.run_app_segmented ~config ~boundaries app in
-          ( Sim.Machine.seconds ph.Sim.Machine.result,
-            ph.Sim.Machine.result.Sim.Machine.profile,
-            ph.Sim.Machine.phase_profiles )
-        in
-        (* Re-measure every model row per phase: same configurations
-           as [Measure.build] (measured point and its reference), but
-           through the segmented path so the cache keys carry the
-           segmentation digest. *)
-        let model = static.Optimizer.model in
-        let rows = model.Measure.rows in
-        let configs =
-          T.base
-          :: List.concat_map
-               (fun (r : Measure.row) ->
-                 let reference = Measure.reference_config r.Measure.var in
-                 [ r.Measure.var.T.apply reference; reference ])
-               rows
-        in
-        let results =
-          Obs.Span.with_ ~cat:"dse" "schedule.measure"
-            ~attrs:[ ("app", Obs.Json.String app.Apps.Registry.name) ]
-            (fun () ->
-              Engine.eval_all_segments_on ?noise (Engine.default ()) T.probe
-                ~phase:digest ~segmented app configs)
-        in
-        let sec_tbl = Hashtbl.create 64 in
-        List.iter2
-          (fun c (_, profs) ->
-            Hashtbl.replace sec_tbl
-              (T.probe.Target.digest c)
-              (Array.of_list
-                 (List.map
-                    (fun (pr : Sim.Profiler.t) ->
-                      float_of_int pr.Sim.Profiler.cycles
-                      /. Sim.Machine.clock_hz)
-                    profs)))
-          configs results;
-        let sec p c = (Hashtbl.find sec_tbl (T.probe.Target.digest c)).(p) in
-        let base_total = model.Measure.base.Cost.seconds in
-        (* Per-phase marginal runtime deltas, normalized by the whole
-           base runtime (so summing a row's rho over the phases gives
-           back its static rho). *)
-        let models =
-          List.init nphases (fun p ->
-              Measure.with_rows model
-                (List.map
-                   (fun (r : Measure.row) ->
-                     let reference = Measure.reference_config r.Measure.var in
-                     let measured = r.Measure.var.T.apply reference in
-                     let rho =
-                       100.0
-                       *. (sec p measured -. sec p reference)
-                       /. base_total
-                     in
-                     {
-                       r with
-                       Measure.deltas = { r.Measure.deltas with Cost.rho };
-                     })
-                   rows))
-        in
-        let sched =
-          Obs.Span.with_ ~cat:"dse" "schedule.formulate"
-            ~attrs:[ ("app", Obs.Json.String app.Apps.Registry.name) ]
-            (fun () ->
-              Formulate.make_schedule ~reps:app.Apps.Registry.reps ~weights
-                models)
-        in
-        let solved =
-          Obs.Span.with_ ~cat:"dse" "schedule.solve"
-            ~attrs:[ ("app", Obs.Json.String app.Apps.Registry.name) ]
-            (fun () ->
-              Optim.Binlp.solve
-                ~runner:(Pool.solver_runner (Pool.default ()))
-                ~objective_terms:sched.Formulate.switch_terms
-                sched.Formulate.problem)
-        in
-        Obs.Metrics.Counter.incr ~by:solved.Optim.Binlp.nodes m_schedule_nodes;
-        match solved.Optim.Binlp.best with
-        | None -> failwith "Schedule: scheduled BINLP infeasible"
-        | Some solution ->
-            let per_phase =
-              Formulate.schedule_vars_of_solution sched solution
+      let scheduled_seconds, switch_cycles =
+        match plan with
+        | Static config ->
+            let seconds =
+              if T.equal config static.Optimizer.config then static_seconds
+              else
+                (Engine.eval_on (Engine.default ()) T.probe app config)
+                  .Cost.seconds
             in
-            let configs = Array.map (T.apply_all T.base) per_phase in
-            Array.iter
-              (fun c ->
-                match T.validate c with
-                | Ok () -> ()
-                | Error m ->
-                    failwith ("Schedule: decoded configuration invalid: " ^ m))
-              configs;
-            if Array.for_all (fun c -> T.equal c configs.(0)) configs then
-              static_outcome ~nodes:solved.Optim.Binlp.nodes configs.(0)
-            else begin
-              let schedule =
-                List.map2
-                  (fun s c -> (s, c))
-                  (0 :: boundaries) (Array.to_list configs)
-              in
-              Array.iteri (fun k c -> record_select app k c) configs;
-              (if Obs.Journal.enabled () then
-                 match schedule with
-                 | [] -> ()
-                 | (_, first) :: rest ->
-                     let rec switches prev = function
-                       | [] -> prev
-                       | (at, c) :: tl ->
-                           record_switch app ~at
-                             ~cycles:(T.switch_cycles prev c) c;
-                           switches c tl
-                     in
-                     let last = switches first rest in
-                     record_switch app ~at:phases.Sim.Phase.total_insns
-                       ~cycles:(T.switch_cycles last first) first);
-              let ph =
-                Obs.Span.with_ ~cat:"dse" "schedule.verify"
-                  ~attrs:[ ("app", Obs.Json.String app.Apps.Registry.name) ]
-                  (fun () -> T.run_app_phased ~schedule app)
-              in
-              let scheduled_seconds =
-                Sim.Machine.seconds ph.Sim.Machine.result
-              in
-              let gain =
-                100.0
-                *. (static_seconds -. scheduled_seconds)
-                /. static_seconds
-              in
-              Obs.Metrics.Gauge.set m_schedule_gain gain;
-              record_verify app ~static_seconds ~scheduled_seconds
-                ~switch_cycles:ph.Sim.Machine.switch_cycles ~gain;
-              {
-                app;
-                phases;
-                static;
-                plan = Phased schedule;
-                static_seconds;
-                scheduled_seconds;
-                switch_cycles = ph.Sim.Machine.switch_cycles;
-                gain_percent = gain;
-                solve_nodes = solved.Optim.Binlp.nodes;
-              }
-            end
-      end
+            record_select app 0 config;
+            (seconds, 0)
+        | Phased schedule ->
+            List.iteri (fun k (_, c) -> record_select app k c) schedule;
+            (if Obs.Journal.enabled () then
+               match schedule with
+               | [] -> ()
+               | (_, first) :: rest ->
+                   let rec switches prev = function
+                     | [] -> prev
+                     | (at, c) :: tl ->
+                         record_switch app ~at
+                           ~cycles:(T.switch_cycles prev c) c;
+                         switches c tl
+                   in
+                   let last = switches first rest in
+                   record_switch app ~at:phases.Sim.Phase.total_insns
+                     ~cycles:(T.switch_cycles last first) first);
+            let ph =
+              Obs.Span.with_ ~cat:"dse" "schedule.verify"
+                ~attrs:[ ("app", Obs.Json.String app.Apps.Registry.name) ]
+                (fun () -> T.run_app_phased ~schedule app)
+            in
+            ( Sim.Machine.seconds ph.Sim.Machine.result,
+              ph.Sim.Machine.switch_cycles )
+      in
+      let gain =
+        100.0 *. (static_seconds -. scheduled_seconds) /. static_seconds
+      in
+      Obs.Metrics.Gauge.set m_schedule_gain gain;
+      record_verify app ~static_seconds ~scheduled_seconds ~switch_cycles ~gain;
+      {
+        app;
+        phases;
+        static;
+        plan;
+        static_seconds;
+        scheduled_seconds;
+        switch_cycles;
+        gain_percent = gain;
+        solve_nodes;
+      }
 
     let print ppf (o : outcome) =
       let pf = Format.fprintf in

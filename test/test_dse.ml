@@ -16,7 +16,7 @@ let mk_cost seconds luts brams =
 let test_cost_deltas () =
   let base = mk_cost 10.0 19200 80 in
   let c = mk_cost 11.0 19584 96 in
-  let d = Dse.Cost.deltas ~base c in
+  let d = Leon2.deltas ~base c in
   check_float "rho" 10.0 d.Dse.Cost.rho;
   check_float "lambda" 1.0 d.Dse.Cost.lambda;
   check_float "beta" 10.0 d.Dse.Cost.beta
@@ -33,9 +33,9 @@ let test_cost_objective () =
 let test_cost_headroom () =
   let base = mk_cost 10.0 14992 82 in
   check_bool "luts headroom ~60.96" true
-    (Float.abs (Dse.Cost.headroom_luts base -. 60.958) < 0.01);
+    (Float.abs (Leon2.headroom_luts base -. 60.958) < 0.01);
   check_bool "bram headroom 48.75" true
-    (Float.abs (Dse.Cost.headroom_brams base -. 48.75) < 0.01)
+    (Float.abs (Leon2.headroom_brams base -. 48.75) < 0.01)
 
 (* --- Measure (dcache dims: cheap) --- *)
 

@@ -159,25 +159,31 @@ let test_unfit_upgrade () =
 let test_eval_all_matches_serial () =
   let app = Apps.Registry.arith in
   let configs = List.init 12 config_of_seed in
-  let pairs = List.map (fun c -> (app, c)) (configs @ List.rev configs) in
+  let configs = configs @ List.rev configs in
   let pool = Dse.Pool.create ~workers:4 () in
   Fun.protect
     ~finally:(fun () -> Dse.Pool.shutdown pool)
     (fun () ->
       let pooled = Dse.Engine.create ~pool () in
-      let batch = Dse.Engine.eval_all_on pooled probe pairs in
+      let batch = Dse.Engine.eval_all_feasible_on pooled probe app configs in
       let serial_engine = Dse.Engine.create () in
       let serial =
-        List.map
-          (fun (a, c) -> Dse.Engine.eval_on serial_engine probe a c)
-          pairs
+        List.map (Dse.Engine.eval_feasible_on serial_engine probe app) configs
       in
       check_int "lengths agree" (List.length serial) (List.length batch);
       List.iteri
         (fun i (b, s) ->
           check_bool (Printf.sprintf "batch item %d bit-identical" i) true
             (compare b s = 0))
-        (List.combine batch serial))
+        (List.combine batch serial);
+      (* Seeds 9-11 exceed the device, the others fit: both paths are
+         exercised. *)
+      List.iteri
+        (fun seed b ->
+          check_bool
+            (Printf.sprintf "seed %d fits iff below 9" seed)
+            (seed < 9) (b <> None))
+        (List.filteri (fun i _ -> i < 12) batch))
 
 let test_eval_all_dedups_batch () =
   let app = Apps.Registry.arith in
@@ -185,10 +191,11 @@ let test_eval_all_dedups_batch () =
   let e = Dse.Engine.create () in
   let before = Obs.Metrics.snapshot () in
   let costs =
-    Dse.Engine.eval_all_on e probe (List.init 5 (fun _ -> (app, config)))
+    Dse.Engine.eval_all_feasible_on e probe app (List.init 5 (fun _ -> config))
   in
   let after = Obs.Metrics.snapshot () in
   check_int "five results" 5 (List.length costs);
+  check_bool "seed 7 fits" true (List.hd costs <> None);
   check_bool "all identical" true
     (List.for_all (fun c -> compare c (List.hd costs) = 0) costs);
   check_int "one build" 1 (delta before after "dse.builds");

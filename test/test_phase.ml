@@ -1,7 +1,8 @@
 (* Tests for program-phase detection and phased execution: a pinned
    change-point golden on a two-phase microprogram, 1-phase/static
-   bit-identity, segmented telescoping, and the cache-retention policy
-   across a reconfiguration switch. *)
+   bit-identity, segmented telescoping, the cache-retention policy
+   across a reconfiguration switch, and the one-phase schedule
+   formulation being the static BINLP. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -238,6 +239,43 @@ let test_keep_caches_policy () =
   check_bool "kept caches miss less" true (misses kept < misses flushed);
   check_bool "kept caches run faster" true (cycles kept < cycles flushed)
 
+(* --- The one-phase schedule is the static BINLP --- *)
+
+module Leon2 = Dse.Leon2.S
+
+(* The all-dims LEON2 model holds the register-window rows, the
+   target's static groups.  With one phase they keep their model
+   positions (nothing to share them across) and there is no switch to
+   charge, not even the wrap-around between repetitions. *)
+let test_one_phase_schedule_is_static () =
+  let m = Leon2.Measure.build Apps.Registry.blastn in
+  let rows = m.Leon2.Measure.rows in
+  let static_rows =
+    List.filter
+      (fun (r : Leon2.Measure.row) ->
+        List.mem r.Leon2.Measure.var.Arch.Param.group
+          Dse.Target_leon2.static_groups)
+      rows
+  in
+  check_int "register-window rows" 17 (List.length static_rows);
+  let weights = Dse.Cost.runtime_weights in
+  let sched = Leon2.Formulate.make_schedule ~reps:3 ~weights [ m ] in
+  check_int "one phase" 1 (Array.length sched.Leon2.Formulate.slots);
+  check_bool "no switch terms" true (sched.Leon2.Formulate.switch_terms = []);
+  check_bool "slots follow model order" true
+    (List.equal
+       (fun (j, r) (j', r') -> j = j' && r == r')
+       sched.Leon2.Formulate.slots.(0)
+       (List.mapi (fun j r -> (j, r)) rows));
+  check_bool "the static problem for any reps" true
+    (sched.Leon2.Formulate.problem = Leon2.Formulate.make weights m);
+  let two = Leon2.Formulate.make_schedule ~reps:3 ~weights [ m; m ] in
+  check_int "two phases share the static rows"
+    ((2 * (List.length rows - 17)) + 17)
+    two.Leon2.Formulate.problem.Optim.Binlp.nvars;
+  check_bool "two phases charge switches" true
+    (two.Leon2.Formulate.switch_terms <> [])
+
 let () =
   Alcotest.run "phase"
     [
@@ -258,5 +296,10 @@ let () =
             test_segmented_telescoping;
           Alcotest.test_case "keep-caches policy" `Quick
             test_keep_caches_policy;
+        ] );
+      ( "formulate",
+        [
+          Alcotest.test_case "one phase is the static BINLP" `Quick
+            test_one_phase_schedule_is_static;
         ] );
     ]
