@@ -16,7 +16,9 @@
    runs first — relative thresholds per metric family — exiting
    nonzero if any experiment regressed.  An experiment whose verified
    runtimes fall outside their static bounds fails the run the same
-   way, with or without --check. *)
+   way, with or without --check, and so does one that raises (the
+   simulator's checksum-mismatch [Failure], say): the remaining
+   experiments still run. *)
 
 module Leon2 = Dse.Leon2.S
 
@@ -299,7 +301,7 @@ exception Bail of int
    its verified runtimes fell outside its static bounds
    ([dse.bounds.violations]): the bounds analysis or the simulator is
    wrong. *)
-let run_experiment ~history_path ~check ~rev ~profiling ~violated regressions
+let run_experiment ~history_path ~check ~rev ~profiling ~failed regressions
     name =
   match List.assoc_opt name experiments with
   | Some f ->
@@ -319,7 +321,7 @@ let run_experiment ~history_path ~check ~rev ~profiling ~violated regressions
       in
       if violations > 0 then begin
         Format.eprintf "%s: %d static-bounds violation(s)@." name violations;
-        violated := true
+        failed := true
       end;
       let ms = measurements ~wall_ns ~before ~after in
       let profiler =
@@ -372,9 +374,17 @@ let main names check history rev obs =
       lazy (match rev with Some r -> r | None -> git_rev ())
     in
     let profiling = obs.Obs_cli.profile_out <> None in
-    let regressions = ref [] and violated = ref false in
-    let run =
-      run_experiment ~history_path ~check ~rev ~profiling ~violated regressions
+    let regressions = ref [] and failed = ref false in
+    (* An exception fails its experiment only; [Bail] ends the run. *)
+    let run name =
+      try
+        run_experiment ~history_path ~check ~rev ~profiling ~failed regressions
+          name
+      with
+      | Bail _ as e -> raise e
+      | e ->
+          Format.eprintf "%s: failed: %s@." name (Printexc.to_string e);
+          failed := true
     in
     (match names with
     | [] -> List.iter (fun (n, _) -> run n) experiments
@@ -384,7 +394,7 @@ let main names check history rev obs =
     | regs ->
         Format.eprintf "bench --check: %d experiment(s) regressed@."
           (List.length regs));
-    if !regressions = [] && not !violated then 0 else 1
+    if !regressions = [] && not !failed then 0 else 1
   in
   match body () with code -> code | exception Bail code -> code
 

@@ -704,15 +704,19 @@ let journal_pool =
           true);
     }
 
-(* Phase-schedule dominance: with the switch cost forced to zero (the
-   schedule problem solved without its switch terms), the scheduled
-   optimum can always replicate any static selection uniformly across
-   phases, so its objective is <= the static optimum's on the
-   phase-summed model, and equal to it with one phase, where the
-   schedule is the static problem.  Exercises the slot layout, per-phase
-   SOS1 groups and per-phase resource constraints of
-   [Formulate.make_schedule] against [Formulate.make] over the real
-   LEON2 variable space with synthetic per-phase runtime deltas. *)
+(* Phase-schedule dominance: the scheduled optimum can always replicate
+   any static selection uniformly across phases, so its objective is <=
+   the static optimum's on the phase-summed model — with the switch
+   cost forced to zero (the schedule problem solved without its switch
+   terms), and equal to it with one phase, where the schedule is the
+   static problem; and with the real switch terms, since a uniform
+   selection pays exactly zero switch cost (each pair of phases' terms
+   cancel exactly).  The switch-term solve must also pick the same
+   winner, objective bits included, as brute-force enumeration.
+   Exercises the slot layout, per-phase SOS1 groups, per-phase resource
+   constraints and switch product terms of [Formulate.make_schedule]
+   against [Formulate.make] over the real LEON2 variable space with
+   synthetic per-phase runtime deltas. *)
 module SL = Dse.Leon2.S
 
 let schedule_dominance =
@@ -751,8 +755,9 @@ let schedule_dominance =
     {
       name = "schedule-dominance";
       doc =
-        "with zero switch cost the scheduled optimum is never worse than the \
-         static optimum on the phase-summed model, and equal with one phase";
+        "the scheduled optimum, with zero or with real switch cost, is never \
+         worse than the static optimum on the phase-summed model, and equal \
+         with one phase; with switch cost it matches brute force";
       gen;
       print;
       prop =
@@ -789,6 +794,44 @@ let schedule_dominance =
             Optim.Binlp.solve ~node_limit:2_000_000
               sched.SL.Formulate.problem
           in
+          let objective_terms = sched.SL.Formulate.switch_terms in
+          let w =
+            Optim.Binlp.solve ~node_limit:2_000_000 ~objective_terms
+              sched.SL.Formulate.problem
+          in
+          if w.Optim.Binlp.status <> Optim.Binlp.Optimal then
+            T2.fail_reportf "switch-term solve hit the node limit";
+          (match
+             ( w.Optim.Binlp.best,
+               Optim.Binlp.brute_force ~objective_terms
+                 sched.SL.Formulate.problem )
+           with
+          | None, None -> ()
+          | Some a, Some b ->
+              if
+                a.Optim.Binlp.x <> b.Optim.Binlp.x
+                || Int64.bits_of_float a.Optim.Binlp.objective
+                   <> Int64.bits_of_float b.Optim.Binlp.objective
+              then
+                T2.fail_reportf
+                  "switch-term solve picked objective %.17g, brute force %.17g \
+                   (same point: %b)"
+                  a.Optim.Binlp.objective b.Optim.Binlp.objective
+                  (a.Optim.Binlp.x = b.Optim.Binlp.x)
+          | Some _, None | None, Some _ ->
+              T2.fail_reportf
+                "switch-term solve and brute force disagree on feasibility");
+          (match (s.Optim.Binlp.best, w.Optim.Binlp.best) with
+          | None, _ -> ()
+          | Some _, None ->
+              T2.fail_reportf
+                "switch-term schedule infeasible while static is feasible"
+          | Some st, Some sw ->
+              if sw.Optim.Binlp.objective > st.Optim.Binlp.objective +. 1e-6
+              then
+                T2.fail_reportf
+                  "switch-term scheduled optimum %.9f > static optimum %.9f"
+                  sw.Optim.Binlp.objective st.Optim.Binlp.objective);
           match (s.Optim.Binlp.best, d.Optim.Binlp.best) with
           | None, None -> true
           | None, Some _ ->

@@ -92,11 +92,13 @@ val journal_pool : t
     domain's buffer is monotonically timestamped. *)
 
 val schedule_dominance : t
-(** With the switch cost forced to zero (the schedule problem solved
-    without its switch terms), the scheduled optimum on synthetic
-    multi-phase models is never worse than the static optimum of the
-    phase-summed model — uniform replication of the static winner is
-    always schedule-feasible. *)
+(** The scheduled optimum on synthetic multi-phase models is never
+    worse than the static optimum of the phase-summed model, both with
+    the switch cost forced to zero (the schedule problem solved without
+    its switch terms) and with the real switch terms — uniform
+    replication of the static winner is always schedule-feasible and
+    pays exactly zero switch cost.  The switch-term solve's winner and
+    objective bits equal {!Optim.Binlp.brute_force}'s. *)
 
 val phase_determinism : t
 (** {!Sim.Phase.detect} is bit-deterministic across repeated runs and

@@ -92,14 +92,17 @@ let effective_groups p =
   done;
   List.filter (fun g -> g <> []) p.groups @ !singles
 
-let lin_coeff l j =
-  List.fold_left (fun acc (k, a) -> if k = j then acc +. a else acc) 0.0 l.coeffs
+(* Float-specialised [Stdlib.min]/[Stdlib.max]: the same comparison, so
+   the same result on NaN and signed zero, without the polymorphic
+   call. *)
+let[@inline] fmin (a : float) b = if a <= b then a else b
+let[@inline] fmax (a : float) b = if a >= b then a else b
 
-let interval_min_product (l1, u1) (l2, u2) =
-  min (min (l1 *. l2) (l1 *. u2)) (min (u1 *. l2) (u1 *. u2))
+let[@inline] product_min l1 u1 l2 u2 =
+  fmin (fmin (l1 *. l2) (l1 *. u2)) (fmin (u1 *. l2) (u1 *. u2))
 
-let interval_max_product (l1, u1) (l2, u2) =
-  max (max (l1 *. l2) (l1 *. u2)) (max (u1 *. l2) (u1 *. u2))
+let[@inline] product_max l1 u1 l2 u2 =
+  fmax (fmax (l1 *. l2) (l1 *. u2)) (fmax (u1 *. l2) (u1 *. u2))
 
 (* The pinned tie-break: first differing index decides, an unselected
    variable beats a selected one.  Together with the canonical leaf
@@ -125,27 +128,228 @@ let better_solution a b =
   a.objective < b.objective
   || (a.objective = b.objective && lex_lt a.x b.x)
 
-(* One linear factor tracked during search: its current partial value
-   and, per depth, the min/max contribution still achievable from the
-   remaining groups. *)
-type factor = {
-  lin : lin;
-  mutable value : float;
-  smin : float array; (* suffix over groups, length ngroups+1 *)
+(* A problem compiled once per solve into flat arrays, shared read-only
+   by every subtree task.  Every linear factor has an id — the
+   constraint terms in order, then the objective terms — and a term is
+   a pair of ids in [cons] or [oterms], the second [-1] for a linear
+   term. *)
+type compiled = {
+  ngroups : int;
+  suffix_obj : float array;
+      (* per depth: the best objective the groups at depth.. can add *)
+  neg_opts : int array array;
+  rest_opts : int array array;
+      (* per depth, the branch order: improving options cheapest-first,
+         then "none", then the rest *)
+  init : float array;  (* factor constants: values at the empty point *)
+  smin : float array;
   smax : float array;
+      (* at [factor * (ngroups + 1) + depth]: the min/max contribution
+         the groups at depth.. can still add to the factor *)
+  col_start : int array;
+  col_factor : int array;
+  col_coeff : float array;
+      (* variable [j]'s column, entries [col_start.(j)] to
+         [col_start.(j + 1) - 1]: each factor with a non-zero summed
+         coefficient for [j], and that coefficient *)
+  cons : int array array;
+  cons_le : bool array;
+  cons_bound : float array;  (* the bound, 1e-9 tolerance applied *)
+  oterms : int array;
 }
 
-type tracked = TLin of factor | TProd of factor * factor
+let compile p objective_terms =
+  let garr = Array.of_list (effective_groups p) in
+  let ngroups = Array.length garr in
+  (* Order groups by their best (most negative) objective option so the
+     DFS reaches good incumbents early; ties broken by smallest member
+     index so the order — and hence the frontier split — is fully
+     deterministic.  Keys are computed once; being distinct, they fix
+     the order whatever the sort. *)
+  let keyed =
+    Array.map
+      (fun g ->
+        ( List.fold_left (fun acc j -> fmin acc p.objective.(j)) 0.0 g,
+          List.fold_left Int.min max_int g,
+          g ))
+      garr
+  in
+  Array.sort
+    (fun (a, ia, _) (b, ib, _) ->
+      let c = Float.compare a b in
+      if c <> 0 then c else Int.compare ia ib)
+    keyed;
+  let members = Array.map (fun (_, _, g) -> Array.of_list g) keyed in
+  let suffix_obj = Array.make (ngroups + 1) 0.0 in
+  for i = ngroups - 1 downto 0 do
+    let gmin, _, _ = keyed.(i) in
+    suffix_obj.(i) <- suffix_obj.(i + 1) +. gmin
+  done;
+  let opt_cmp a b =
+    let c = Float.compare p.objective.(a) p.objective.(b) in
+    if c <> 0 then c else Int.compare a b
+  in
+  let part sel =
+    Array.map
+      (fun (_, _, g) ->
+        let opts = Array.of_list (List.filter sel g) in
+        Array.sort opt_cmp opts;
+        opts)
+      keyed
+  in
+  let neg_opts = part (fun j -> p.objective.(j) < 0.0) in
+  let rest_opts = part (fun j -> p.objective.(j) >= 0.0) in
+  let factors = ref [] and nfactors = ref 0 in
+  let factor l =
+    factors := l :: !factors;
+    incr nfactors;
+    !nfactors - 1
+  in
+  let ids terms =
+    let a = Array.make (2 * List.length terms) (-1) in
+    List.iteri
+      (fun i t ->
+        match t with
+        | Lin l -> a.(2 * i) <- factor l
+        | Prod (l1, l2) ->
+            a.(2 * i) <- factor l1;
+            a.(2 * i + 1) <- factor l2)
+      terms;
+    a
+  in
+  let cons = Array.of_list (List.map (fun c -> ids c.terms) p.constraints) in
+  let oterms = ids objective_terms in
+  let lins = Array.of_list (List.rev !factors) in
+  let stride = ngroups + 1 in
+  let smin = Array.make (!nfactors * stride) 0.0 in
+  let smax = Array.make (!nfactors * stride) 0.0 in
+  (* One dense pass per factor: sum its coefficients per variable (the
+     summation order of a scan of [coeffs]), fold them into the
+     per-group suffix bounds, then emit the non-zero ones as column
+     entries and clear the scratch row. *)
+  let dense = Array.make p.nvars 0.0 in
+  let nentries = Array.fold_left (fun n l -> n + List.length l.coeffs) 0 lins in
+  let e_var = Array.make nentries 0 and e_factor = Array.make nentries 0 in
+  let e_coeff = Array.make nentries 0.0 in
+  let ne = ref 0 in
+  let col_start = Array.make (p.nvars + 1) 0 in
+  Array.iteri
+    (fun f l ->
+      List.iter (fun (k, a) -> dense.(k) <- dense.(k) +. a) l.coeffs;
+      let base = f * stride in
+      for i = ngroups - 1 downto 0 do
+        let g = members.(i) in
+        let lo = ref 0.0 and hi = ref 0.0 in
+        for m = 0 to Array.length g - 1 do
+          let a = dense.(g.(m)) in
+          lo := fmin !lo a;
+          hi := fmax !hi a
+        done;
+        smin.(base + i) <- smin.(base + i + 1) +. !lo;
+        smax.(base + i) <- smax.(base + i + 1) +. !hi
+      done;
+      List.iter
+        (fun (k, _) ->
+          let a = dense.(k) in
+          if a <> 0.0 then begin
+            e_var.(!ne) <- k;
+            e_factor.(!ne) <- f;
+            e_coeff.(!ne) <- a;
+            incr ne;
+            col_start.(k + 1) <- col_start.(k + 1) + 1
+          end;
+          dense.(k) <- 0.0)
+        l.coeffs)
+    lins;
+  for j = 1 to p.nvars do
+    col_start.(j) <- col_start.(j) + col_start.(j - 1)
+  done;
+  let next = Array.sub col_start 0 p.nvars in
+  let col_factor = Array.make !ne 0 and col_coeff = Array.make !ne 0.0 in
+  for e = 0 to !ne - 1 do
+    let k = e_var.(e) in
+    col_factor.(next.(k)) <- e_factor.(e);
+    col_coeff.(next.(k)) <- e_coeff.(e);
+    next.(k) <- next.(k) + 1
+  done;
+  {
+    ngroups;
+    suffix_obj;
+    neg_opts;
+    rest_opts;
+    init = Array.map (fun l -> l.const) lins;
+    smin;
+    smax;
+    col_start;
+    col_factor;
+    col_coeff;
+    cons;
+    cons_le = Array.of_list (List.map (fun c -> c.rel = Le) p.constraints);
+    cons_bound =
+      Array.of_list
+        (List.map
+           (fun c ->
+             match c.rel with Le -> c.bound +. 1e-9 | Ge -> c.bound -. 1e-9)
+           p.constraints);
+    oterms;
+  }
 
-(* Per-task search state.  Every subtree task owns a private copy of
-   the assignment and the tracked constraint factors (they are mutated
-   in place along the DFS), plus local statistics that are folded into
-   the shared totals when the task finishes. *)
-type state = {
+(* Choosing or un-choosing variable [j] moves only the factors in its
+   column. *)
+let apply c v j =
+  for e = c.col_start.(j) to c.col_start.(j + 1) - 1 do
+    let f = c.col_factor.(e) in
+    v.(f) <- v.(f) +. c.col_coeff.(e)
+  done
+
+let undo c v j =
+  for e = c.col_start.(j) to c.col_start.(j + 1) - 1 do
+    let f = c.col_factor.(e) in
+    v.(f) <- v.(f) -. c.col_coeff.(e)
+  done
+
+(* The lower ([lower]) or upper interval bound of a sum of terms over
+   every completion of the groups at [depth..]: factor [f] ranges over
+   [v.(f) + smin, v.(f) + smax], a product over the interval product,
+   and the terms add in declaration order. *)
+let[@inline] terms_bound c v depth ids lower =
+  let stride = c.ngroups + 1 in
+  let acc = ref 0.0 and t = ref 0 in
+  while !t < Array.length ids do
+    let f1 = ids.(!t) and f2 = ids.(!t + 1) in
+    let i1 = (f1 * stride) + depth in
+    (if f2 < 0 then
+       acc := !acc +. v.(f1) +. (if lower then c.smin.(i1) else c.smax.(i1))
+     else
+       let i2 = (f2 * stride) + depth in
+       let v1 = v.(f1) and v2 = v.(f2) in
+       let l1 = v1 +. c.smin.(i1) and u1 = v1 +. c.smax.(i1) in
+       let l2 = v2 +. c.smin.(i2) and u2 = v2 +. c.smax.(i2) in
+       acc :=
+         !acc
+         +. (if lower then product_min l1 u1 l2 u2
+             else product_max l1 u1 l2 u2));
+    t := !t + 2
+  done;
+  !acc
+
+let feasible_possible c v depth =
+  let ok = ref true and k = ref 0 in
+  while !ok && !k < Array.length c.cons do
+    let ids = c.cons.(!k) and bound = c.cons_bound.(!k) in
+    ok :=
+      if c.cons_le.(!k) then terms_bound c v depth ids true <= bound
+      else terms_bound c v depth ids false >= bound;
+    incr k
+  done;
+  !ok
+
+(* A subtree task's private search state: the assignment and the factor
+   values it mutates in place along the DFS, plus local statistics that
+   are folded into the shared totals when the task finishes. *)
+type task = {
   x : bool array;
-  tracked : (constr * tracked list) array;
-  oterms : tracked list;  (* extra objective terms, also in [factors] *)
-  factors : factor array;
+  v : float array;
   mutable snodes : int;
   mutable sflushed : int; (* nodes already reported to the shared total *)
   mutable spruned_bound : int;
@@ -208,113 +412,8 @@ let solve ?(node_limit = 20_000_000) ?(runner = inline_runner)
     ?(objective_terms = []) p =
   Obs.Span.with_span ~cat:"optim" "binlp.solve" @@ fun span ->
   validate_terms p objective_terms;
-  let groups = effective_groups p in
-  let ngroups = List.length groups in
-  let garr = Array.of_list groups in
-  (* Order groups by their best (most negative) objective option so the
-     DFS reaches good incumbents early; ties broken by smallest member
-     index so the order — and hence the frontier split — is fully
-     deterministic. *)
-  let gmin_obj g = List.fold_left (fun acc j -> min acc p.objective.(j)) 0.0 g in
-  let gkey g = (gmin_obj g, List.fold_left min max_int g) in
-  Array.sort (fun a b -> compare (gkey a) (gkey b)) garr;
-  let groups = Array.to_list garr in
-  let gmin = Array.map gmin_obj garr in
-  let suffix_obj = Array.make (ngroups + 1) 0.0 in
-  for i = ngroups - 1 downto 0 do
-    suffix_obj.(i) <- suffix_obj.(i + 1) +. gmin.(i)
-  done;
-  (* Branch order inside a group — improving options cheapest-first,
-     then "none", then the rest — computed once per solve instead of
-     sorting (and allocating) at every node of the hot DFS loop. *)
-  let opt_cmp a b =
-    let c = compare p.objective.(a) p.objective.(b) in
-    if c <> 0 then c else compare a b
-  in
-  let part sel =
-    Array.map
-      (fun g ->
-        Array.of_list (List.sort opt_cmp (List.filter sel g)))
-      garr
-  in
-  let neg_opts = part (fun j -> p.objective.(j) < 0.0) in
-  let rest_opts = part (fun j -> p.objective.(j) >= 0.0) in
-  let make_factor l =
-    let mins = Array.make ngroups 0.0 and maxs = Array.make ngroups 0.0 in
-    List.iteri
-      (fun gi g ->
-        let contribs = 0.0 :: List.map (fun j -> lin_coeff l j) g in
-        mins.(gi) <- List.fold_left min infinity contribs;
-        maxs.(gi) <- List.fold_left max neg_infinity contribs)
-      groups;
-    let smin = Array.make (ngroups + 1) 0.0 in
-    let smax = Array.make (ngroups + 1) 0.0 in
-    for i = ngroups - 1 downto 0 do
-      smin.(i) <- smin.(i + 1) +. mins.(i);
-      smax.(i) <- smax.(i + 1) +. maxs.(i)
-    done;
-    { lin = l; value = l.const; smin; smax }
-  in
-  let make_state () =
-    let mk_tracked = function
-      | Lin l -> TLin (make_factor l)
-      | Prod (l1, l2) -> TProd (make_factor l1, make_factor l2)
-    in
-    let tracked =
-      Array.of_list
-        (List.map (fun c -> (c, List.map mk_tracked c.terms)) p.constraints)
-    in
-    let oterms = List.map mk_tracked objective_terms in
-    let factors_of =
-      List.concat_map (function
-        | TLin f -> [ f ]
-        | TProd (f1, f2) -> [ f1; f2 ])
-    in
-    let factors =
-      Array.of_list
-        (List.concat_map (fun (_, ts) -> factors_of ts) (Array.to_list tracked)
-        @ factors_of oterms)
-    in
-    {
-      x = Array.make p.nvars false;
-      tracked;
-      oterms;
-      factors;
-      snodes = 0;
-      sflushed = 0;
-      spruned_bound = 0;
-      spruned_validity = 0;
-      sincumbents = 0;
-    }
-  in
-  let feasible_possible st depth =
-    Array.for_all
-      (fun (c, ts) ->
-        let lo = ref 0.0 and hi = ref 0.0 in
-        List.iter
-          (fun t ->
-            match t with
-            | TLin f ->
-                lo := !lo +. f.value +. f.smin.(depth);
-                hi := !hi +. f.value +. f.smax.(depth)
-            | TProd (f1, f2) ->
-                let i1 = (f1.value +. f1.smin.(depth), f1.value +. f1.smax.(depth)) in
-                let i2 = (f2.value +. f2.smin.(depth), f2.value +. f2.smax.(depth)) in
-                lo := !lo +. interval_min_product i1 i2;
-                hi := !hi +. interval_max_product i1 i2)
-          ts;
-        match c.rel with
-        | Le -> !lo <= c.bound +. 1e-9
-        | Ge -> !hi >= c.bound -. 1e-9)
-      st.tracked
-  in
-  let apply_choice st j sign =
-    Array.iter
-      (fun f ->
-        let c = lin_coeff f.lin j in
-        if c <> 0.0 then f.value <- f.value +. (sign *. c))
-      st.factors
-  in
+  let c = compile p objective_terms in
+  let ngroups = c.ngroups in
   (* Shared solver state: the atomic incumbent (CAS below), a cached
      copy of its objective for the per-node bound read, the cooperative
      cancellation flag, and the node/prune totals the tasks fold into. *)
@@ -349,24 +448,6 @@ let solve ?(node_limit = 20_000_000) ?(runner = inline_runner)
       Atomic.set limit_hit true;
       raise Cancelled
     end
-  in
-  (* Lower bound on the extra objective terms over all completions of
-     the groups at [depth..] — same interval arithmetic as constraint
-     propagation, so the prune stays admissible. *)
-  let oterm_lb st depth =
-    List.fold_left
-      (fun acc t ->
-        match t with
-        | TLin f -> acc +. f.value +. f.smin.(depth)
-        | TProd (f1, f2) ->
-            let i1 =
-              (f1.value +. f1.smin.(depth), f1.value +. f1.smax.(depth))
-            in
-            let i2 =
-              (f2.value +. f2.smin.(depth), f2.value +. f2.smax.(depth))
-            in
-            acc +. interval_min_product i1 i2)
-      0.0 st.oterms
   in
   let offer st =
     let obj = leaf_objective p.objective objective_terms st.x in
@@ -411,31 +492,39 @@ let solve ?(node_limit = 20_000_000) ?(runner = inline_runner)
     note_node st;
     (* Strictly-worse prune only: a subtree whose bound ties the
        incumbent may still hold an equal-objective, lexicographically
-       smaller assignment, and the tie-break must find it. *)
+       smaller assignment, and the tie-break must find it.  The
+       objective terms are bounded by the same interval arithmetic as
+       the constraints, so the prune stays admissible. *)
     let lb =
-      match st.oterms with
-      | [] -> obj +. suffix_obj.(depth)
-      | _ -> obj +. suffix_obj.(depth) +. oterm_lb st depth
+      if Array.length c.oterms = 0 then obj +. c.suffix_obj.(depth)
+      else
+        obj +. c.suffix_obj.(depth) +. terms_bound c st.v depth c.oterms true
     in
     if lb > Atomic.get best_obj +. 1e-12 then
       st.spruned_bound <- st.spruned_bound + 1
-    else if not (feasible_possible st depth) then
+    else if not (feasible_possible c st.v depth) then
       st.spruned_validity <- st.spruned_validity + 1
     else if depth = ngroups then begin
+      (* exact, from scratch: the tracked factor values may differ from
+         it in the last bit *)
       if List.for_all (check_constr st.x) p.constraints then offer st
     end
     else begin
-      let try_member j =
-        st.x.(j) <- true;
-        apply_choice st j 1.0;
-        dfs st (depth + 1) (obj +. p.objective.(j));
-        apply_choice st j (-1.0);
-        st.x.(j) <- false
-      in
-      Array.iter try_member neg_opts.(depth);
+      let neg = c.neg_opts.(depth) and rest = c.rest_opts.(depth) in
+      for i = 0 to Array.length neg - 1 do
+        branch st depth obj neg.(i)
+      done;
       dfs st (depth + 1) obj;
-      Array.iter try_member rest_opts.(depth)
+      for i = 0 to Array.length rest - 1 do
+        branch st depth obj rest.(i)
+      done
     end
+  and branch st depth obj j =
+    st.x.(j) <- true;
+    apply c st.v j;
+    dfs st (depth + 1) (obj +. p.objective.(j));
+    undo c st.v j;
+    st.x.(j) <- false
   in
   (* Frontier split: peel off the shallowest prefix of groups whose
      option cross-product yields enough independent subtree tasks to
@@ -450,7 +539,7 @@ let solve ?(node_limit = 20_000_000) ?(runner = inline_runner)
       while !d < ngroups - 1 && !d < 3 && !t < 8 * runner.workers do
         t :=
           !t
-          * (Array.length neg_opts.(!d) + Array.length rest_opts.(!d) + 1);
+          * (Array.length c.neg_opts.(!d) + Array.length c.rest_opts.(!d) + 1);
         incr d
       done;
       !d
@@ -466,9 +555,9 @@ let solve ?(node_limit = 20_000_000) ?(runner = inline_runner)
       let rec enum d prefix =
         if d = frontier_depth then acc := List.rev prefix :: !acc
         else begin
-          Array.iter (fun j -> enum (d + 1) (j :: prefix)) neg_opts.(d);
+          Array.iter (fun j -> enum (d + 1) (j :: prefix)) c.neg_opts.(d);
           enum (d + 1) (-1 :: prefix);
-          Array.iter (fun j -> enum (d + 1) (j :: prefix)) rest_opts.(d)
+          Array.iter (fun j -> enum (d + 1) (j :: prefix)) c.rest_opts.(d)
         end
       in
       enum 0 [];
@@ -482,14 +571,24 @@ let solve ?(node_limit = 20_000_000) ?(runner = inline_runner)
     ignore (Atomic.fetch_and_add total_incumbents st.sincumbents)
   in
   let run_prefix prefix () =
-    let st = make_state () in
+    let st =
+      {
+        x = Array.make p.nvars false;
+        v = Array.copy c.init;
+        snodes = 0;
+        sflushed = 0;
+        spruned_bound = 0;
+        spruned_validity = 0;
+        sincumbents = 0;
+      }
+    in
     let obj =
       List.fold_left
         (fun acc j ->
           if j < 0 then acc
           else begin
             st.x.(j) <- true;
-            apply_choice st j 1.0;
+            apply c st.v j;
             acc +. p.objective.(j)
           end)
         0.0 prefix

@@ -18,6 +18,18 @@
     interval bounds; leaves are checked exactly, so the returned
     solution is a true optimum.
 
+    {2 Compiled problem}
+
+    Each solve compiles its problem once into flat arrays: every linear
+    factor of a term (constraint terms in order, then objective terms)
+    gets an id, each variable a column of the factors it has a non-zero
+    coefficient in, and each factor its per-depth interval bounds over
+    the groups still open.  Choosing or un-choosing a variable then
+    updates only the factors in its column, and the bounds at a node
+    read the arrays without allocating.  The compiled problem is
+    read-only and shared by every subtree task; a task owns only its
+    assignment, its factor values and its counters.
+
     {2 Tie-break rule}
 
     Equally-optimal assignments are ordered by the {e pinned

@@ -235,7 +235,9 @@ let test_binlp_overlapping_groups_rejected () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument"
 
-(* Random differential test against brute force. *)
+(* Random differential test against brute force: a problem and 0-3
+   objective terms, linear or product, with integer coefficients like
+   its constraints. *)
 let gen_problem =
   let open QCheck.Gen in
   int_range 2 8 >>= fun nvars ->
@@ -273,14 +275,25 @@ let gen_problem =
       ]
   in
   list_size (int_range 0 3) constr_gen >>= fun constraints ->
-  return { Optim.Binlp.nvars; objective; groups; constraints }
+  let term_gen =
+    frequency
+      [
+        (1, map (fun l -> Optim.Binlp.Lin l) lin_gen);
+        ( 1,
+          lin_gen >>= fun l1 ->
+          map (fun l2 -> Optim.Binlp.Prod (l1, l2)) lin_gen );
+      ]
+  in
+  list_size (int_range 0 3) term_gen >>= fun objective_terms ->
+  return
+    ({ Optim.Binlp.nvars; objective; groups; constraints }, objective_terms)
 
 let test_binlp_vs_brute_force () =
   QCheck.Test.check_exn
     (QCheck.Test.make ~count:300 ~name:"B&B = brute force" (QCheck.make gen_problem)
-       (fun p ->
-         let a = solve p in
-         let b = Optim.Binlp.brute_force p in
+       (fun (p, objective_terms) ->
+         let a = (Optim.Binlp.solve ~objective_terms p).Optim.Binlp.best in
+         let b = Optim.Binlp.brute_force ~objective_terms p in
          match (a, b) with
          | None, None -> true
          | Some sa, Some sb ->
@@ -378,12 +391,13 @@ let test_binlp_parallel_identity () =
     (fun () ->
       QCheck.Test.check_exn
         (QCheck.Test.make ~count:120 ~name:"parallel = sequential"
-           (QCheck.make gen_problem) (fun p ->
-             let seq = Optim.Binlp.solve p in
+           (QCheck.make gen_problem) (fun (p, objective_terms) ->
+             let seq = Optim.Binlp.solve ~objective_terms p in
              List.for_all
                (fun pool ->
                  let par =
-                   Optim.Binlp.solve ~runner:(Dse.Pool.solver_runner pool) p
+                   Optim.Binlp.solve ~runner:(Dse.Pool.solver_runner pool)
+                     ~objective_terms p
                  in
                  par.Optim.Binlp.status = seq.Optim.Binlp.status
                  &&
