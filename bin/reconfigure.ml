@@ -36,13 +36,39 @@ let app_arg =
   in
   Arg.(required & opt (some app_conv) None & info [ "a"; "app" ] ~doc ~docv:"APP")
 
+(* Weights and the noise amplitude must be finite and non-negative:
+   with a NaN weight every objective comparison is false and the solver
+   silently keeps the base configuration. *)
+let non_negative =
+  let parse s =
+    match float_of_string_opt s with
+    | Some v when Float.is_finite v && v >= 0.0 -> Ok v
+    | _ ->
+        Error
+          (`Msg
+            (Printf.sprintf "invalid value %S, expected a finite number >= 0"
+               s))
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
 let w1_arg =
-  let doc = "Weight of application runtime in the objective." in
-  Arg.(value & opt float 100.0 & info [ "w1" ] ~doc)
+  let doc = "Weight of application runtime in the objective (finite, >= 0)." in
+  Arg.(value & opt non_negative 100.0 & info [ "w1" ] ~doc)
 
 let w2_arg =
-  let doc = "Weight of chip resources (LUT%% + BRAM%%) in the objective." in
-  Arg.(value & opt float 1.0 & info [ "w2" ] ~doc)
+  let doc =
+    "Weight of chip resources (LUT%% + BRAM%%) in the objective (finite, >= \
+     0; not zero together with $(b,--w1))."
+  in
+  Arg.(value & opt non_negative 1.0 & info [ "w2" ] ~doc)
+
+let weights_term =
+  let weights w1 w2 =
+    if w1 = 0.0 && w2 = 0.0 then
+      Error "--w1 and --w2 are both zero: the objective would be empty"
+    else Ok { Dse.Cost.w1; w2 }
+  in
+  Term.(term_result' ~usage:true (const weights $ w1_arg $ w2_arg))
 
 let dims_arg =
   let doc =
@@ -67,9 +93,9 @@ let schedule_arg =
 let noise_arg =
   let doc =
     "Synthesis measurement noise amplitude (fraction of the device, e.g. \
-     0.005); models place-and-route variance."
+     0.005; finite, >= 0); models place-and-route variance."
   in
-  Arg.(value & opt (some float) None & info [ "noise" ] ~doc)
+  Arg.(value & opt (some non_negative) None & info [ "noise" ] ~doc)
 
 (* [-v]/[-vv] now belong to the shared logging term (Obs_cli); the
    model dump kept its own explicit flag. *)
@@ -117,12 +143,14 @@ let ppf = Format.std_formatter
 
 (* The whole pipeline is generic in the target: instantiating the
    functorized stack on the chosen backend gives the same code path
-   (and the same output format) for every soft core. *)
-let run target app w1 w2 dims exhaustive schedule noise print_model_flag report
-    explain explain_md obs =
+   (and the same output format) for every soft core.  [explain] and
+   [explain_md] are the opened report files. *)
+let reconfigure target app weights dims exhaustive schedule noise
+    print_model_flag report explain explain_md obs =
   Obs_cli.with_reporting obs "reconfigure" @@ fun () ->
   let (module T : Dse.Target.S) = target in
   let module S = Dse.Stack.Make (T) in
+  let { Dse.Cost.w1; w2 } = weights in
   let explaining = explain <> None || explain_md <> None in
   if explaining then begin
     Obs.Journal.set_enabled true;
@@ -143,13 +171,15 @@ let run target app w1 w2 dims exhaustive schedule noise print_model_flag report
     if explaining then begin
       let report = Dse.Explain.of_journal () in
       Option.iter
-        (fun path ->
-          Dse.Explain.write_json path report;
+        (fun (path, oc) ->
+          Dse.Explain.write_json oc report;
+          close_out oc;
           Logs.info (fun m -> m "wrote explain report to %s" path))
         explain;
       Option.iter
-        (fun path ->
-          Dse.Explain.write_markdown path report;
+        (fun (path, oc) ->
+          Dse.Explain.write_markdown oc report;
+          close_out oc;
           Logs.info (fun m -> m "wrote explain report (markdown) to %s" path))
         explain_md
     end
@@ -168,7 +198,6 @@ let run target app w1 w2 dims exhaustive schedule noise print_model_flag report
           d.Dse.Cost.lambda d.Dse.Cost.beta)
       m.S.Measure.rows
   in
-  let weights = { Dse.Cost.w1; w2 } in
   let dims = match dims with `All -> None | `Dcache -> Some T.quick_dims in
   Format.fprintf ppf "Application: %s — %s@." app.Apps.Registry.name
     app.Apps.Registry.description;
@@ -231,6 +260,26 @@ let run target app w1 w2 dims exhaustive schedule noise print_model_flag report
   Format.pp_print_flush ppf ()
   end
 
+let exit_report = 2
+
+(* A report file is opened before the run, so a bad path fails at once
+   instead of after the whole pipeline. *)
+let open_report = function
+  | None -> Ok None
+  | Some path -> (
+      try Ok (Some (path, open_out_bin path)) with Sys_error m -> Error m)
+
+let run target app weights dims exhaustive schedule noise print_model_flag
+    report explain explain_md obs =
+  match (open_report explain, open_report explain_md) with
+  | Error m, _ | _, Error m ->
+      Printf.eprintf "reconfigure: cannot open report file: %s\n" m;
+      exit_report
+  | Ok explain, Ok explain_md ->
+      reconfigure target app weights dims exhaustive schedule noise
+        print_model_flag report explain explain_md obs;
+      0
+
 let cmd =
   let doc = "automatic application-specific microarchitecture reconfiguration" in
   let man =
@@ -245,11 +294,16 @@ let cmd =
          its actually-measured cost.";
     ]
   in
+  let exits =
+    Cmd.Exit.info exit_report
+      ~doc:"when an $(b,--explain) or $(b,--explain-md) file cannot be opened."
+    :: Cmd.Exit.defaults
+  in
   Cmd.v
-    (Cmd.info "reconfigure" ~version:"1.0.0" ~doc ~man)
+    (Cmd.info "reconfigure" ~version:"1.0.0" ~doc ~man ~exits)
     Term.(
-      const run $ target_arg $ app_arg $ w1_arg $ w2_arg $ dims_arg
+      const run $ target_arg $ app_arg $ weights_term $ dims_arg
       $ exhaustive_arg $ schedule_arg $ noise_arg $ print_model_arg
       $ report_arg $ explain_arg $ explain_md_arg $ Obs_cli.term)
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cmd.eval' cmd)

@@ -34,7 +34,8 @@ type key = {
       (* segmentation digest for per-phase measurements: a segmented
          evaluation of the same configuration is a distinct result
          (it carries per-phase profiles), so it occupies a distinct
-         key; [None] for whole-run evaluations *)
+         key; [None] for whole-run evaluations, which a segmented
+         evaluation also fills (see [obtain]) *)
 }
 
 let key_of ?noise (probe : _ Target.probe) (app : Apps.Registry.t) config =
@@ -201,6 +202,17 @@ let obtain t ~feasible_only ?segmented ?noise probe app config =
     | entry ->
         Mutex.lock t.mutex;
         Hashtbl.replace t.table key entry;
+        (* A segmented run's whole-run part is the plain run's result
+           bit for bit, so it also fills the configuration's whole-run
+           key — unless that key is already built or being built. *)
+        (match entry with
+        | Full v when key.phase <> None -> (
+            let whole = { key with phase = None } in
+            match Hashtbl.find_opt t.table whole with
+            | Some (Full _ | Pending) -> ()
+            | None | Some (Unfit _) ->
+                Hashtbl.replace t.table whole (Full { v with segments = [] }))
+        | Full _ | Unfit _ | Pending -> ());
         Condition.broadcast t.cond;
         Mutex.unlock t.mutex;
         (match entry with

@@ -13,8 +13,9 @@
 
     {b Memoization.}  Results are stored in a content-addressed memo
     cache keyed by [(target name, application name, digest of the
-    target codec's canonical encoding, noise amplitude)].  Evaluation
-    is
+    target codec's canonical encoding, noise amplitude)], plus the
+    segmentation digest for per-phase measurements (see
+    {!eval_all_segments_on}).  Evaluation is
     deterministic — the simulator is cycle-accurate and the synthesis
     model analytic, with {e deterministic} per-configuration
     measurement noise — so a memoized result is bit-identical to a
@@ -107,10 +108,15 @@ val eval_all_segments_on :
     caller-supplied [segmented] function returning [(seconds,
     whole-run profile, per-phase profiles)], and the memo key is
     extended with [phase] — the segmentation digest (see
-    {!Sim.Phase.digest}) — so the same configuration's whole-run and
-    per-phase measurements coexist in the cache, and two different
-    segmentations never collide.  [segmented] must be deterministic
-    for the [(phase, configuration)] pair. *)
+    {!Sim.Phase.digest}) — so two different segmentations never
+    collide.  Each computed segmented evaluation also fills the same
+    configuration's whole-run entry with its cost and whole-run
+    profile, unless that entry is already built or being built: a
+    later {!eval_on} or {!eval_profiled_on} of the configuration is a
+    hit, so one simulation serves both.  [segmented] must therefore be
+    deterministic for the [(phase, configuration)] pair and return
+    the seconds and whole-run profile the probe's [simulate] would
+    (as {!Target.S.run_app_segmented} does). *)
 
 type admission =
   | Infeasible  (** structurally invalid or exceeds the device *)

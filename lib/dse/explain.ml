@@ -538,13 +538,7 @@ let to_markdown ?(timings = true) t =
       | _ -> ());
   Buffer.contents b
 
-let write_file path contents =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc contents)
+let write_json ?timings oc t =
+  output_string oc (Obs.Json.to_string (to_json ?timings t) ^ "\n")
 
-let write_json ?timings path t =
-  write_file path (Obs.Json.to_string (to_json ?timings t) ^ "\n")
-
-let write_markdown ?timings path t = write_file path (to_markdown ?timings t)
+let write_markdown ?timings oc t = output_string oc (to_markdown ?timings t)

@@ -116,7 +116,8 @@ val to_json : ?timings:bool -> t -> Obs.Json.t
 
 val to_markdown : ?timings:bool -> t -> string
 
-val write_json : ?timings:bool -> string -> t -> unit
-(** Write {!to_json} (newline-terminated) to a file. *)
+val write_json : ?timings:bool -> out_channel -> t -> unit
+(** Write {!to_json} (newline-terminated) to a channel the caller
+    opened, so a bad path fails before the run rather than after. *)
 
-val write_markdown : ?timings:bool -> string -> t -> unit
+val write_markdown : ?timings:bool -> out_channel -> t -> unit

@@ -134,6 +134,11 @@ module Make (T : Target.S) = struct
 
     let reference_config = T.reference_config
 
+    (** The variables of the given groups, in row order: the rows
+        [build ~dims] measures, each at [var.apply (reference_config
+        var)] against [reference_config var]. *)
+    let vars_in dims = List.filter (fun v -> List.mem v.T.group dims) T.vars
+
     let build ?noise ?dims app =
       Obs.Span.with_span ~cat:"dse" "measure.build"
         ~attrs:[ ("app", Obs.Json.String app.Apps.Registry.name) ]
@@ -142,12 +147,7 @@ module Make (T : Target.S) = struct
          not domain-safe. *)
       ignore (Lazy.force app.Apps.Registry.program);
       let base = measure ?noise app T.base in
-      let selected_groups =
-        match dims with None -> T.groups | Some ds -> ds
-      in
-      let vars =
-        List.filter (fun v -> List.mem v.T.group selected_groups) T.vars
-      in
+      let vars = vars_in (Option.value dims ~default:T.groups) in
       Obs.Span.add_attr span "perturbations" (Obs.Json.Int (List.length vars));
       let measure_var var =
         Obs.Span.with_span ~cat:"dse" "measure.perturbation"
@@ -1271,7 +1271,8 @@ module Make (T : Target.S) = struct
   module Schedule = struct
     (* Phase-aware reconfiguration: detect phases of one application,
        measure the one-at-a-time model per phase (through the engine,
-       keyed by the segmentation digest), solve one BINLP with
+       keyed by the segmentation digest; the same runs serve the static
+       model's whole-run lookups), solve one BINLP with
        per-phase variable copies and pairwise switch costs, and verify
        the winning schedule against the verified static pick.  Every
        step is deterministic, so the outcome is identical for any
@@ -1364,53 +1365,58 @@ module Make (T : Target.S) = struct
       Obs.Span.add_attr span "phases" (Obs.Json.Int nphases);
       Obs.Metrics.Counter.incr ~by:nphases m_schedule_phases;
       record_phases app phases;
-      let static = Optimizer.run ?noise ~dims ~weights app in
-      let static_seconds = static.Optimizer.actual.Cost.seconds in
-      let plan, solve_nodes =
-        if nphases = 1 then (Static static.Optimizer.config, 0)
+      let boundaries = Sim.Phase.boundaries phases in
+      (* With two or more phases, measure base and every row's
+         (measured, reference) pair segmented, before the static
+         optimizer: each segmented evaluation also fills its
+         configuration's whole-run engine entry, so [Measure.build]
+         below hits on every row and each configuration is simulated
+         once.  [batch] is base, then one pair per row in row order. *)
+      let batch =
+        if nphases = 1 then []
         else begin
-          let boundaries = Sim.Phase.boundaries phases in
-          let digest = Sim.Phase.digest phases in
           let segmented app config =
             let ph = T.run_app_segmented ~config ~boundaries app in
             ( Sim.Machine.seconds ph.Sim.Machine.result,
               ph.Sim.Machine.result.Sim.Machine.profile,
               ph.Sim.Machine.phase_profiles )
           in
-          (* Re-measure every model row per phase: same configurations
-             as [Measure.build] (measured point and its reference), but
-             through the segmented path so the cache keys carry the
-             segmentation digest. *)
-          let model = static.Optimizer.model in
-          let rows = model.Measure.rows in
           let configs =
             T.base
             :: List.concat_map
-                 (fun (r : Measure.row) ->
-                   let reference = Measure.reference_config r.Measure.var in
-                   [ r.Measure.var.T.apply reference; reference ])
-                 rows
+                 (fun var ->
+                   let reference = Measure.reference_config var in
+                   [ var.T.apply reference; reference ])
+                 (Measure.vars_in dims)
           in
-          let results =
-            Obs.Span.with_ ~cat:"dse" "schedule.measure"
-              ~attrs:[ ("app", Obs.Json.String app.Apps.Registry.name) ]
-              (fun () ->
-                Engine.eval_all_segments_on ?noise (Engine.default ()) T.probe
-                  ~phase:digest ~segmented app configs)
+          Obs.Span.with_ ~cat:"dse" "schedule.measure"
+            ~attrs:[ ("app", Obs.Json.String app.Apps.Registry.name) ]
+            (fun () ->
+              Engine.eval_all_segments_on ?noise (Engine.default ()) T.probe
+                ~phase:(Sim.Phase.digest phases) ~segmented app configs)
+        end
+      in
+      let static = Optimizer.run ?noise ~dims ~weights app in
+      let static_seconds = static.Optimizer.actual.Cost.seconds in
+      let plan, solve_nodes =
+        if nphases = 1 then (Static static.Optimizer.config, 0)
+        else begin
+          let secs =
+            Array.of_list
+              (List.map
+                 (fun (_, profs) ->
+                   Array.of_list
+                     (List.map
+                        (fun (pr : Sim.Profiler.t) ->
+                          float_of_int pr.Sim.Profiler.cycles
+                          /. Sim.Machine.clock_hz)
+                        profs))
+                 batch)
           in
-          let sec_tbl = Hashtbl.create 64 in
-          List.iter2
-            (fun c (_, profs) ->
-              Hashtbl.replace sec_tbl
-                (T.probe.Target.digest c)
-                (Array.of_list
-                   (List.map
-                      (fun (pr : Sim.Profiler.t) ->
-                        float_of_int pr.Sim.Profiler.cycles
-                        /. Sim.Machine.clock_hz)
-                      profs)))
-            configs results;
-          let sec p c = (Hashtbl.find sec_tbl (T.probe.Target.digest c)).(p) in
+          (* Row [i] was measured at [secs.(2i + 1)] against its
+             reference at [secs.(2i + 2)]. *)
+          let model = static.Optimizer.model in
+          let rows = model.Measure.rows in
           let base_total = model.Measure.base.Cost.seconds in
           (* Per-phase marginal runtime deltas, normalized by the whole
              base runtime (so summing a row's rho over the phases gives
@@ -1418,13 +1424,11 @@ module Make (T : Target.S) = struct
           let models =
             List.init nphases (fun p ->
                 Measure.with_rows model
-                  (List.map
-                     (fun (r : Measure.row) ->
-                       let reference = Measure.reference_config r.Measure.var in
-                       let measured = r.Measure.var.T.apply reference in
+                  (List.mapi
+                     (fun i (r : Measure.row) ->
                        let rho =
                          100.0
-                         *. (sec p measured -. sec p reference)
+                         *. (secs.((2 * i) + 1).(p) -. secs.((2 * i) + 2).(p))
                          /. base_total
                        in
                        {

@@ -919,6 +919,90 @@ let phase_determinism =
           partitions 0 reference.Sim.Phase.phases);
     }
 
+(* A segmented run carves one execution at instruction boundaries
+   without changing it: its whole-run result must equal the plain
+   run's structurally — the identity that lets the engine serve a
+   configuration's whole-run evaluation from its segmented one — and
+   its phase profiles must sum to the whole profile.  Boundaries are
+   drawn as per-mille cuts of the run's per-execution instruction
+   count, so they always fall inside it. *)
+let segmented_matches (type c)
+    (module T : Dse.Target.S with type config = c) (config : c) ~cuts app =
+  let plain = T.run_app ~config app in
+  let whole = plain.Sim.Machine.profile in
+  let insns = whole.Sim.Profiler.instructions / app.Apps.Registry.reps in
+  let boundaries =
+    List.filter
+      (fun b -> b > 0 && b < insns)
+      (List.sort_uniq compare (List.map (fun c -> c * insns / 1000) cuts))
+  in
+  let seg = T.run_app_segmented ~config ~boundaries app in
+  let at = String.concat "; " (List.map string_of_int boundaries) in
+  let r = seg.Sim.Machine.result in
+  if r <> plain then
+    T2.fail_reportf
+      "%s: segmented result at [%s] differs from the plain run (cycles %d vs \
+       %d, checksum %d vs %d)"
+      T.name at r.Sim.Machine.profile.Sim.Profiler.cycles
+      whole.Sim.Profiler.cycles r.Sim.Machine.checksum plain.Sim.Machine.checksum;
+  let phases = seg.Sim.Machine.phase_profiles in
+  if List.length phases <> List.length boundaries + 1 then
+    T2.fail_reportf "%s: %d phase profiles for %d boundaries" T.name
+      (List.length phases) (List.length boundaries);
+  let summed =
+    List.fold_left Sim.Profiler.add (Sim.Profiler.create ()) phases
+  in
+  List.iter2
+    (fun (field, w) (_, s) ->
+      if w <> s then
+        T2.fail_reportf "%s: phase profiles at [%s] sum %s = %d, whole run %d"
+          T.name at field s w)
+    (Sim.Profiler.to_assoc whole)
+    (Sim.Profiler.to_assoc summed);
+  true
+
+let segmented_vs_plain =
+  let gen =
+    let open QCheck2.Gen in
+    let* p = Gen.program in
+    let* leon2 = Gen.config in
+    let* mb = Gen.mb_config in
+    let* reps = int_range 1 3 in
+    let+ cuts = list_size (int_range 0 3) (int_range 1 999) in
+    (p, leon2, mb, reps, cuts)
+  in
+  T
+    {
+      name = "segmented-vs-plain";
+      doc =
+        "a segmented run's result equals the plain run's and its phase \
+         profiles sum to the whole profile (LEON2 and MicroBlaze)";
+      gen;
+      print =
+        (fun (p, leon2, mb, reps, cuts) ->
+          Printf.sprintf
+            "// leon2: %s\n// microblaze: %s\n// reps: %d, cuts (per mille \
+             of the run): [%s]\n%s"
+            (Gen.print_config leon2) (Gen.print_mb_config mb) reps
+            (String.concat "; " (List.map string_of_int cuts))
+            (Gen.print_program p));
+      prop =
+        (fun (p, leon2, mb, reps, cuts) ->
+          checked p;
+          let app =
+            {
+              Apps.Registry.name = "fuzz";
+              description = "generated program";
+              source = p;
+              program = Lazy.from_val (Minic.Codegen.compile p);
+              reps;
+              paper_base_seconds = Float.nan;
+            }
+          in
+          segmented_matches (module Dse.Target_leon2) leon2 ~cuts app
+          && segmented_matches (module Dse.Target_microblaze) mb ~cuts app);
+    }
+
 let all =
   [
     interp_vs_sim;
@@ -937,6 +1021,7 @@ let all =
     journal_pool;
     schedule_dominance;
     phase_determinism;
+    segmented_vs_plain;
   ]
 
 let find n = List.find_opt (fun o -> name o = n) all

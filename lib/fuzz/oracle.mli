@@ -105,5 +105,13 @@ val phase_determinism : t
     {!Dse.Pool} worker counts, and its phases partition the retired
     instruction stream. *)
 
+val segmented_vs_plain : t
+(** Random program x random LEON2 and MicroBlaze configurations x 0-3
+    boundaries inside the run x 1-3 reps: {!Dse.Target.S.run_app_segmented}'s
+    [result] equals {!Dse.Target.S.run_app}'s structurally, and its
+    phase profiles sum to the whole profile field by field — the
+    identity behind the engine serving a whole-run evaluation from a
+    segmented one. *)
+
 val all : t list
 val find : string -> t option

@@ -3,9 +3,54 @@
    registered target, using the deliberately bi-modal [phases] kernel.
    Checks, per target: at least two phases are detected, every
    per-phase configuration is valid and fits the device, the 1-phase
-   degenerate path agrees bit-exactly with the static optimizer, and
-   the schedule's verified runtime does not lose to the verified
-   static pick (the dominance the formulation is built around). *)
+   degenerate path agrees bit-exactly with the static optimizer, the
+   schedule's verified runtime does not lose to the verified static
+   pick (the dominance the formulation is built around), and each
+   schedule run on a cleared engine simulates every configuration at
+   most once. *)
+
+let builds = Obs.Metrics.Counter.v "dse.builds"
+
+(* [f ()] on a cleared engine with the journal on: no (app, config) may
+   get two [engine.build] events, and the events must account for
+   every build [dse.builds] counted. *)
+let built_once label f =
+  Dse.Engine.clear (Dse.Engine.default ());
+  Obs.Journal.clear ();
+  Obs.Journal.set_enabled true;
+  let b0 = Obs.Metrics.Counter.value builds in
+  let x = Fun.protect ~finally:(fun () -> Obs.Journal.set_enabled false) f in
+  let moved = Obs.Metrics.Counter.value builds - b0 in
+  let built =
+    List.filter_map
+      (fun (e : Obs.Journal.event) ->
+        if e.Obs.Journal.kind <> "engine.build" then None
+        else
+          let field k =
+            match List.assoc_opt k e.Obs.Journal.fields with
+            | Some (Obs.Json.String s) -> s
+            | _ -> "?"
+          in
+          Some (field "app" ^ " " ^ field "config"))
+      (Obs.Journal.events ())
+  in
+  Obs.Journal.clear ();
+  let sorted = List.sort compare built in
+  let rec twice = function
+    | a :: (b :: _ as rest) -> if a = b then Some a else twice rest
+    | _ -> None
+  in
+  (match twice sorted with
+  | Some c ->
+      Printf.eprintf "%s: configuration built twice in one schedule run: %s\n"
+        label c;
+      exit 1
+  | None -> ());
+  if moved <> List.length built then (
+    Printf.eprintf "%s: dse.builds moved by %d, %d engine.build events\n" label
+      moved (List.length built);
+    exit 1);
+  x
 
 let () =
   let app = Apps.Extra.phases in
@@ -13,7 +58,7 @@ let () =
     (fun (module T : Dse.Target.S) ->
       let module S = Dse.Stack.Make (T) in
       let weights = Dse.Cost.runtime_weights in
-      let o = S.Schedule.run ~weights app in
+      let o = built_once T.name (fun () -> S.Schedule.run ~weights app) in
       let n = Sim.Phase.count o.S.Schedule.phases in
       if n < 2 then (
         Printf.eprintf "%s: expected >= 2 phases on %s, detected %d\n" T.name
@@ -51,7 +96,10 @@ let () =
           Sim.Phase.window = max 1 o.S.Schedule.phases.Sim.Phase.total_insns;
         }
       in
-      let one = S.Schedule.run ~options:coarse ~weights app in
+      let one =
+        built_once (T.name ^ " (one phase)") (fun () ->
+            S.Schedule.run ~options:coarse ~weights app)
+      in
       if Sim.Phase.count one.S.Schedule.phases <> 1 then (
         Printf.eprintf "%s: coarse segmentation still found %d phases\n" T.name
           (Sim.Phase.count one.S.Schedule.phases);

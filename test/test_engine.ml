@@ -1,6 +1,7 @@
 (* The shared evaluation engine: memoization bit-identity, batch
    evaluation vs the serial reference, in-flight/batch deduplication
-   accounting, and the persistent work-stealing pool. *)
+   accounting, segmented evaluations filling whole-run entries, and the
+   persistent work-stealing pool. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -228,6 +229,103 @@ let test_fig2_sweep_build_count () =
   check_int "no new builds" 0 (delta mid after "dse.builds");
   check_int "28 hits" 28 (delta mid after "dse.engine.hits")
 
+(* --- Segmented evaluations --- *)
+
+(* Per-phase measurement of arith split at one boundary, the primitive
+   [Schedule.run] hands the engine. *)
+let seg_phase = "test:500"
+
+let segmented app config =
+  let ph =
+    Dse.Target_leon2.run_app_segmented ~config ~boundaries:[ 500 ] app
+  in
+  ( Sim.Machine.seconds ph.Sim.Machine.result,
+    ph.Sim.Machine.result.Sim.Machine.profile,
+    ph.Sim.Machine.phase_profiles )
+
+let test_segments_serve_whole_run () =
+  let app = Apps.Registry.arith in
+  let c1 = config_of_seed 1 and c2 = config_of_seed 2 in
+  let c3 = config_of_seed 3 in
+  let e = Dse.Engine.create () in
+  ignore
+    (Dse.Engine.eval_all_segments_on e probe ~phase:seg_phase ~segmented app
+       [ c1; c2; c1; c3 ]);
+  ignore
+    (Dse.Engine.eval_all_segments_on ~noise:0.005 e probe ~phase:seg_phase
+       ~segmented app [ c2 ]);
+  let lookups = [ (None, c1); (None, c2); (None, c3); (Some 0.005, c2) ] in
+  let n = List.length lookups in
+  let before = Obs.Metrics.snapshot () in
+  let profiled =
+    List.map
+      (fun (noise, c) -> Dse.Engine.eval_profiled_on ?noise e probe app c)
+      lookups
+  in
+  let mid = Obs.Metrics.snapshot () in
+  let costs =
+    List.map (fun (noise, c) -> Dse.Engine.eval_on ?noise e probe app c) lookups
+  in
+  let after = Obs.Metrics.snapshot () in
+  check_int "eval_profiled_on hits once each" n
+    (delta before mid "dse.engine.hits");
+  check_int "eval_on hits once each" n (delta mid after "dse.engine.hits");
+  check_int "no misses" 0 (delta before after "dse.engine.misses");
+  check_int "no builds" 0 (delta before after "dse.builds");
+  let plain = Dse.Engine.create () in
+  List.iteri
+    (fun i ((noise, c), ((cost, profile), cost')) ->
+      let ref_cost, ref_profile =
+        Dse.Engine.eval_profiled_on ?noise plain probe app c
+      in
+      check_bool (Printf.sprintf "lookup %d cost = plain evaluation" i) true
+        (compare cost ref_cost = 0 && compare cost' ref_cost = 0);
+      check_bool (Printf.sprintf "lookup %d profile = plain evaluation" i) true
+        (compare profile ref_profile = 0))
+    (List.combine lookups (List.combine profiled costs))
+
+let test_segments_keep_whole_run () =
+  (* A segmented function whose seconds are doubled makes the filled
+     entry distinguishable: it must land only where the whole-run
+     entry is absent or [Unfit], never over a built one. *)
+  let app = Apps.Registry.arith in
+  let doubled app config =
+    let seconds, profile, phases = segmented app config in
+    (2.0 *. seconds, profile, phases)
+  in
+  let built = config_of_seed 4 and absent = config_of_seed 5 in
+  let unfit =
+    match
+      List.find_opt
+        (fun c -> Arch.Config.is_valid c && not (Synth.Estimate.feasible c))
+        (Arch.Space.dcache_geometry ())
+    with
+    | Some c -> c
+    | None -> Alcotest.fail "dcache geometry has no over-capacity point"
+  in
+  let plain c = Dse.Engine.eval_on (Dse.Engine.create ()) probe app c in
+  let e = Dse.Engine.create () in
+  let kept = Dse.Engine.eval_on e probe app built in
+  check_bool "unfit query is None" true
+    (Dse.Engine.eval_feasible_on e probe app unfit = None);
+  ignore
+    (Dse.Engine.eval_all_segments_on e probe ~phase:seg_phase
+       ~segmented:doubled app [ built; absent; unfit ]);
+  let before = Obs.Metrics.snapshot () in
+  let built' = Dse.Engine.eval_on e probe app built in
+  let absent' = Dse.Engine.eval_on e probe app absent in
+  let unfit' = Dse.Engine.eval_on e probe app unfit in
+  let after = Obs.Metrics.snapshot () in
+  check_int "all three are hits" 3 (delta before after "dse.engine.hits");
+  check_int "no builds" 0 (delta before after "dse.builds");
+  check_bool "built whole-run entry kept" true (compare built' kept = 0);
+  check_bool "absent whole-run entry filled" true
+    (absent'.Dse.Cost.seconds = 2.0 *. (plain absent).Dse.Cost.seconds);
+  check_bool "unfit whole-run entry upgraded" true
+    (unfit'.Dse.Cost.seconds = 2.0 *. (plain unfit).Dse.Cost.seconds);
+  check_bool "still reported infeasible" true
+    (Dse.Engine.eval_feasible_on e probe app unfit = None)
+
 (* --- Pool --- *)
 
 let test_pool_map_order () =
@@ -360,6 +458,13 @@ let () =
           Alcotest.test_case "in-batch dedup" `Quick test_eval_all_dedups_batch;
           Alcotest.test_case "fig2 sweep build count" `Quick
             test_fig2_sweep_build_count;
+        ] );
+      ( "segments",
+        [
+          Alcotest.test_case "a segmented evaluation serves whole-run lookups"
+            `Quick test_segments_serve_whole_run;
+          Alcotest.test_case "a built whole-run entry is never replaced" `Quick
+            test_segments_keep_whole_run;
         ] );
       ( "pool",
         [
