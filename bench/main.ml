@@ -209,6 +209,7 @@ let measurements ~wall_ns ~(before : Obs.Metrics.snapshot)
     ("bounds_pruned", float_of_int (delta "dse.bounds.pruned"));
     ("engine_hits", float_of_int (delta "dse.engine.hits"));
     ("engine_misses", float_of_int (delta "dse.engine.misses"));
+    ("engine_priced", float_of_int (delta "dse.engine.priced"));
     ("engine_inflight_dedup", float_of_int (delta "dse.engine.inflight_dedup"));
     ("heuristic_builds", float_of_int (delta "heuristic.builds"));
     (* peak, not post-join: the gauge is a monotone high-water mark,
@@ -431,8 +432,20 @@ let cmd =
     Arg.(value & opt (some string) None & info [ "rev" ] ~doc ~docv:"REV")
   in
   let doc = "regenerate the paper's evaluation and gate on bench history" in
+  let exits =
+    Cmd.Exit.info 1
+      ~doc:
+        "when an experiment regressed under $(b,--check), saw a static-bounds \
+         violation or failed; the other experiments still run."
+    :: Cmd.Exit.info 2
+         ~doc:
+           "on an unknown experiment or an unreadable $(b,--history) file, or \
+            when a $(b,--trace-out), $(b,--metrics-out) or $(b,--profile-out) \
+            file cannot be opened."
+    :: Cmd.Exit.defaults
+  in
   Cmd.v
-    (Cmd.info "bench" ~doc)
+    (Cmd.info "bench" ~doc ~exits)
     Term.(
       const main $ names_arg $ check_arg $ history_arg $ rev_arg $ Obs_cli.term)
 

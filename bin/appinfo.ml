@@ -223,10 +223,21 @@ let static_arg =
 let names_arg =
   Arg.(value & pos_all string [] & info [] ~docv:"APP" ~doc:"Applications to report on (default: the paper's four).")
 
+let exits =
+  Cmd.Exit.info 2
+    ~doc:
+      "on an unknown application, or when a $(b,--trace-out), \
+       $(b,--metrics-out) or $(b,--profile-out) file cannot be opened."
+  :: Cmd.Exit.info 4
+       ~doc:
+         "with $(b,--lint): on error-level findings, or any warning under \
+          $(b,--Werror)."
+  :: Cmd.Exit.defaults
+
 let cmd =
   let doc = "per-application static features and execution statistics" in
   Cmd.v
-    (Cmd.info "appinfo" ~version:"1.0.0" ~doc)
+    (Cmd.info "appinfo" ~version:"1.0.0" ~doc ~exits)
     Term.(
       const run $ list_targets_arg $ target_arg $ lint_arg $ werror_arg
       $ static_arg $ names_arg $ Obs_cli.term)

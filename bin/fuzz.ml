@@ -110,7 +110,10 @@ let cmd =
     (Cmd.info "fuzz" ~version:"1.0.0" ~doc
        ~exits:
          (Cmd.Exit.info 1 ~doc:"when an oracle or open corpus entry fails."
-         :: Cmd.Exit.info 2 ~doc:"on unknown oracles or unreadable files."
+         :: Cmd.Exit.info 2
+              ~doc:
+                "on unknown oracles or unreadable files, or when an output \
+                 file cannot be opened."
          :: Cmd.Exit.defaults))
     [ list_cmd; run_cmd; replay_cmd ]
 

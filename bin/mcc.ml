@@ -237,7 +237,10 @@ let target_arg =
 
 let exits =
   Cmd.Exit.info 1 ~doc:"on configuration or simulation errors."
-  :: Cmd.Exit.info exit_parse ~doc:"on parse errors."
+  :: Cmd.Exit.info exit_parse
+       ~doc:
+         "on parse errors, or when a $(b,--trace-out), $(b,--metrics-out) or \
+          $(b,--profile-out) file cannot be opened."
   :: Cmd.Exit.info exit_check ~doc:"on static-check errors (unknown names, limit overflows)."
   :: Cmd.Exit.info exit_lint
        ~doc:

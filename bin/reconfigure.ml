@@ -296,7 +296,9 @@ let cmd =
   in
   let exits =
     Cmd.Exit.info exit_report
-      ~doc:"when an $(b,--explain) or $(b,--explain-md) file cannot be opened."
+      ~doc:
+        "when an $(b,--explain), $(b,--explain-md), $(b,--trace-out), \
+         $(b,--metrics-out) or $(b,--profile-out) file cannot be opened."
     :: Cmd.Exit.defaults
   in
   Cmd.v

@@ -2,6 +2,10 @@ let m_builds =
   Obs.Metrics.Counter.v "dse.builds"
     ~help:"configurations synthesized and executed"
 
+let m_priced =
+  Obs.Metrics.Counter.v "dse.engine.priced"
+    ~help:"evaluations priced from a simulated representative's event counts"
+
 let m_hits =
   Obs.Metrics.Counter.v "dse.engine.hits"
     ~help:"evaluations served from the engine's memo cache"
@@ -62,10 +66,22 @@ type value = {
    the saved resources. *)
 type entry = Pending | Unfit of Synth.Resource.t | Full of value
 
+(* One representative's simulation, under the representative's
+   whole-run key without noise (noise never changes a run).  [claimed]
+   is set by the first whole-run miss priced from it, which counts as
+   the build; a run the window walk needed before any miss claimed it
+   is unclaimed until then. *)
+type shape =
+  | Running
+  | Ran of { profile : Sim.Profiler.t; mutable claimed : bool }
+
 type t = {
   mutex : Mutex.t;
-  cond : Condition.t; (* signaled whenever an entry leaves [Pending] *)
+  cond : Condition.t;
+      (* signaled whenever an entry leaves [Pending] or a shape leaves
+         [Running] *)
   table : (key, entry) Hashtbl.t;
+  shapes : (key, shape) Hashtbl.t;
   pool : Pool.t option;
       (* [None] = the shared pool, resolved lazily at first batch and
          only on machines with real parallelism: on a single-core host
@@ -78,12 +94,14 @@ let create ?pool () =
     mutex = Mutex.create ();
     cond = Condition.create ();
     table = Hashtbl.create 256;
+    shapes = Hashtbl.create 256;
     pool;
   }
 
 let clear t =
   Mutex.lock t.mutex;
   Hashtbl.reset t.table;
+  Hashtbl.reset t.shapes;
   Condition.broadcast t.cond;
   Mutex.unlock t.mutex
 
@@ -123,23 +141,62 @@ let noised_resources ?noise (probe : _ Target.probe) config =
   in
   (resources, fits)
 
-let simulate (probe : _ Target.probe) app config =
-  Obs.Metrics.Counter.incr m_builds;
-  let t0 = Obs.Clock.since_start_ns () in
-  let r = probe.Target.simulate app config in
-  let dt = Int64.sub (Obs.Clock.since_start_ns ()) t0 in
-  Obs.Metrics.Histogram.observe h_build_seconds (Int64.to_float dt *. 1e-9);
-  r
-
-(* Segmented counterpart: same accounting, caller-supplied simulation
-   returning (seconds, whole-run profile, per-phase profiles). *)
-let simulate_segmented f app config =
-  Obs.Metrics.Counter.incr m_builds;
+(* Every simulation the engine runs, timed into the build histogram. *)
+let timed f app config =
   let t0 = Obs.Clock.since_start_ns () in
   let r = f app config in
   let dt = Int64.sub (Obs.Clock.since_start_ns ()) t0 in
   Obs.Metrics.Histogram.observe h_build_seconds (Int64.to_float dt *. 1e-9);
   r
+
+(* The profile of [rep]'s simulation, run at most once per engine under
+   the same discipline as [obtain]'s [Pending]: [Running] is installed
+   only by the thread about to simulate, and a simulation never waits,
+   so waiters always wait on a running computation.  [~claim] reports
+   whether this call is the first miss priced from the run. *)
+let shape_run t (probe : _ Target.probe) app rep ~claim =
+  let key = key_of probe app rep in
+  Mutex.lock t.mutex;
+  let rec loop () =
+    match Hashtbl.find_opt t.shapes key with
+    | Some (Ran r) ->
+        let first = claim && not r.claimed in
+        if first then r.claimed <- true;
+        Mutex.unlock t.mutex;
+        (r.profile, first)
+    | Some Running ->
+        Condition.wait t.cond t.mutex;
+        loop ()
+    | None -> (
+        Hashtbl.replace t.shapes key Running;
+        Mutex.unlock t.mutex;
+        match timed probe.Target.simulate app rep with
+        | _, profile ->
+            Mutex.lock t.mutex;
+            Hashtbl.replace t.shapes key (Ran { profile; claimed = claim });
+            Condition.broadcast t.cond;
+            Mutex.unlock t.mutex;
+            (profile, claim)
+        | exception e ->
+            let bt = Printexc.get_raw_backtrace () in
+            Mutex.lock t.mutex;
+            Hashtbl.remove t.shapes key;
+            Condition.broadcast t.cond;
+            Mutex.unlock t.mutex;
+            Printexc.raise_with_backtrace e bt)
+  in
+  loop ()
+
+(* A whole-run evaluation: price [config] from its representative's
+   run.  The miss that first claims the run is the build; every other
+   is priced.  Returns the journal kind with the result. *)
+let price t (probe : _ Target.probe) app config =
+  let run c = fst (shape_run t probe app c ~claim:false) in
+  let rep = probe.Target.representative ~run config in
+  let profile, built = shape_run t probe app rep ~claim:true in
+  Obs.Metrics.Counter.incr (if built then m_builds else m_priced);
+  ( probe.Target.price config profile,
+    if built then "engine.build" else "engine.priced" )
 
 (* Journal identification of one candidate: the application plus the
    codec's canonical encoding (stable across runs, unlike digests,
@@ -186,20 +243,23 @@ let obtain t ~feasible_only ?segmented ?noise probe app config =
         | Some r -> (r, false) (* a cached [Unfit]: skip re-elaboration *)
         | None -> noised_resources ?noise probe config
       in
-      if feasible_only && not fits then Unfit resources
+      if feasible_only && not fits then (Unfit resources, "engine.unfit")
       else begin
         match segmented with
         | None ->
-            let seconds, profile = simulate probe app config in
-            Full { cost = { Cost.seconds; resources }; profile; fits;
-                   segments = [] }
+            let (seconds, profile), kind = price t probe app config in
+            ( Full { cost = { Cost.seconds; resources }; profile; fits;
+                     segments = [] },
+              kind )
         | Some (_, f) ->
-            let seconds, profile, segments = simulate_segmented f app config in
-            Full { cost = { Cost.seconds; resources }; profile; fits;
-                   segments }
+            Obs.Metrics.Counter.incr m_builds;
+            let seconds, profile, segments = timed f app config in
+            ( Full { cost = { Cost.seconds; resources }; profile; fits;
+                     segments },
+              "engine.build" )
       end
     with
-    | entry ->
+    | entry, kind ->
         Mutex.lock t.mutex;
         Hashtbl.replace t.table key entry;
         (* A segmented run's whole-run part is the plain run's result
@@ -215,10 +275,10 @@ let obtain t ~feasible_only ?segmented ?noise probe app config =
         | Full _ | Unfit _ | Pending -> ());
         Condition.broadcast t.cond;
         Mutex.unlock t.mutex;
-        (match entry with
-        | Full v -> journal "engine.build" [ ("fits", Obs.Json.Bool v.fits) ]
-        | Unfit _ -> journal "engine.unfit" []
-        | Pending -> ());
+        journal kind
+          (match entry with
+          | Full v -> [ ("fits", Obs.Json.Bool v.fits) ]
+          | Unfit _ | Pending -> []);
         entry
     | exception e ->
         let bt = Printexc.get_raw_backtrace () in

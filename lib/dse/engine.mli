@@ -28,6 +28,18 @@
     {b Targets.}  Every evaluation names its backend by a
     {!Target.probe} (e.g. [Target_leon2.probe]).
 
+    {b Pricing.}  A whole-run miss does not simulate its configuration:
+    it simulates the configuration's representative
+    ([probe.representative]: every price-only field at its base value,
+    a trap-free window count lowered) once per [(target, application,
+    representative)], with the same in-flight discipline as the memo
+    entries, and prices the requested configuration from that run's
+    event counts ([probe.price]) — the representative's own evaluation
+    included, so pricing is the only path.  Which representatives are
+    simulated depends only on the requests.  Pricing is exact, so a
+    priced result is bit-identical to a simulation.  Segmented
+    evaluations simulate their own configuration.
+
     {b Deduplication.}  Concurrent requests for an in-flight key wait
     for the winner's result instead of recomputing, and the batch APIs
     collapse repeated requests before scheduling.
@@ -37,10 +49,14 @@
     {!map}.
 
     {b Observability.}  [dse.engine.hits], [dse.engine.misses] and
-    [dse.engine.inflight_dedup] count cache behavior;
-    [dse.builds] counts configurations actually synthesized and
-    executed (i.e. cache misses that reached the simulator); each miss
-    runs under an [engine.build] span. *)
+    [dse.engine.inflight_dedup] count cache behavior.  Every miss that
+    evaluates is a build or priced, so [dse.engine.misses =
+    dse.builds + dse.engine.priced] plus the over-capacity [Unfit]
+    answers: [dse.builds] counts the first miss priced from each
+    representative's simulation (and every segmented evaluation),
+    [dse.engine.priced] the others; the journal kinds are
+    [engine.build] and [engine.priced].  Each miss runs under an
+    [engine.build] span. *)
 
 type t
 
@@ -57,8 +73,8 @@ val create : ?pool:Pool.t -> unit -> t
     pure stop-the-world overhead. *)
 
 val clear : t -> unit
-(** Drop every cached result (counters are unaffected).  For tests
-    that need a cold engine. *)
+(** Drop every cached result and representative simulation (counters
+    are unaffected).  For tests that need a cold engine. *)
 
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Order-preserving map under the engine's pool-selection rule (see

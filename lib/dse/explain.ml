@@ -25,13 +25,14 @@ type solve = {
   timeline : incumbent list; (* oldest first *)
 }
 
-type outcome = Hit | Build | Unfit | Dedup | Pruned | Infeasible
+type outcome = Hit | Build | Priced | Unfit | Dedup | Pruned | Infeasible
 
 type candidate = {
   app : string;
   config : string;
   hits : int;
   builds : int;
+  priced : int;
   unfit : int;
   dedup : int;
   pruned : int;
@@ -41,6 +42,7 @@ type candidate = {
 type accounting = {
   a_hits : int;
   a_builds : int;
+  a_priced : int;
   a_unfit : int;
   a_dedup : int;
   a_pruned : int;
@@ -94,7 +96,8 @@ type t = {
 }
 
 let considered a =
-  a.a_hits + a.a_builds + a.a_unfit + a.a_dedup + a.a_pruned + a.a_infeasible
+  a.a_hits + a.a_builds + a.a_priced + a.a_unfit + a.a_dedup + a.a_pruned
+  + a.a_infeasible
 
 (* --- field access over journal events --- *)
 
@@ -116,6 +119,7 @@ let of_events events =
       {
         a_hits = 0;
         a_builds = 0;
+        a_priced = 0;
         a_unfit = 0;
         a_dedup = 0;
         a_pruned = 0;
@@ -143,6 +147,7 @@ let of_events events =
                 config;
                 hits = 0;
                 builds = 0;
+                priced = 0;
                 unfit = 0;
                 dedup = 0;
                 pruned = 0;
@@ -155,6 +160,8 @@ let of_events events =
           | Hit -> ({ c with hits = c.hits + 1 }, { a with a_hits = a.a_hits + 1 })
           | Build ->
               ({ c with builds = c.builds + 1 }, { a with a_builds = a.a_builds + 1 })
+          | Priced ->
+              ({ c with priced = c.priced + 1 }, { a with a_priced = a.a_priced + 1 })
           | Unfit ->
               ({ c with unfit = c.unfit + 1 }, { a with a_unfit = a.a_unfit + 1 })
           | Dedup ->
@@ -206,6 +213,7 @@ let of_events events =
           solves := s :: !solves
       | "engine.hit" -> candidate_event Hit f
       | "engine.build" -> candidate_event Build f
+      | "engine.priced" -> candidate_event Priced f
       | "engine.unfit" -> candidate_event Unfit f
       | "engine.dedup" -> candidate_event Dedup f
       | "engine.pruned" -> candidate_event Pruned f
@@ -339,6 +347,7 @@ let candidate_json c =
       ("config", Obs.Json.String c.config);
       ("hits", Obs.Json.Int c.hits);
       ("builds", Obs.Json.Int c.builds);
+      ("priced", Obs.Json.Int c.priced);
       ("unfit", Obs.Json.Int c.unfit);
       ("dedup", Obs.Json.Int c.dedup);
       ("pruned", Obs.Json.Int c.pruned);
@@ -402,6 +411,7 @@ let to_json ?(timings = true) t =
             ("considered", Obs.Json.Int (considered a));
             ("hits", Obs.Json.Int a.a_hits);
             ("builds", Obs.Json.Int a.a_builds);
+            ("priced", Obs.Json.Int a.a_priced);
             ("unfit", Obs.Json.Int a.a_unfit);
             ("dedup", Obs.Json.Int a.a_dedup);
             ("pruned", Obs.Json.Int a.a_pruned);
@@ -479,17 +489,20 @@ let to_markdown ?(timings = true) t =
   let a = t.account in
   buf_addf b "\n## Candidates\n\n";
   buf_addf b
-    "considered: %d (hits %d, builds %d, unfit %d, dedup %d, pruned %d, \
-     infeasible %d)\n"
-    (considered a) a.a_hits a.a_builds a.a_unfit a.a_dedup a.a_pruned
-    a.a_infeasible;
+    "considered: %d (hits %d, builds %d, priced %d, unfit %d, dedup %d, \
+     pruned %d, infeasible %d)\n"
+    (considered a) a.a_hits a.a_builds a.a_priced a.a_unfit a.a_dedup
+    a.a_pruned a.a_infeasible;
   if t.candidates <> [] then begin
-    buf_addf b "\n| app | config | hits | builds | unfit | dedup | pruned | infeasible |\n";
-    buf_addf b "|---|---|---:|---:|---:|---:|---:|---:|\n";
+    buf_addf b
+      "\n| app | config | hits | builds | priced | unfit | dedup | pruned | \
+       infeasible |\n";
+    buf_addf b "|---|---|---:|---:|---:|---:|---:|---:|---:|\n";
     List.iter
       (fun c ->
-        buf_addf b "| %s | `%s` | %d | %d | %d | %d | %d | %d |\n" c.app
-          c.config c.hits c.builds c.unfit c.dedup c.pruned c.infeasible)
+        buf_addf b "| %s | `%s` | %d | %d | %d | %d | %d | %d | %d |\n" c.app
+          c.config c.hits c.builds c.priced c.unfit c.dedup c.pruned
+          c.infeasible)
       t.candidates
   end;
   buf_addf b "\n## Static bounds\n\n";

@@ -1,14 +1,16 @@
 (** Decision-provenance reports over the {!Obs.Journal} stream.
 
     One pipeline run with journalling enabled leaves a raw event
-    stream: per-candidate engine outcomes (hit / build / unfit /
-    in-flight dedup / bounds-pruned / infeasible), solver incumbent
+    stream: per-candidate engine outcomes (hit / build / priced /
+    unfit / in-flight dedup / bounds-pruned / infeasible), solver
+    incumbent
     improvements, and static-bound tightness checks.  [of_journal]
     aggregates it into a report answering "why did the run do what it
     did": the incumbent timeline of every solve, a per-candidate
     outcome table whose totals reconcile with the [dse.*] metrics
-    ([builds = dse.builds], [hits = dse.engine.hits],
-    [pruned = dse.bounds.pruned]), and tightness statistics of every
+    ([builds = dse.builds], [priced = dse.engine.priced],
+    [hits = dse.engine.hits], [pruned = dse.bounds.pruned]), and
+    tightness statistics of every
     bound the run computed.
 
     Rendered with [~timings:false] the report contains no wall-clock
@@ -36,6 +38,7 @@ type candidate = {
   config : string;  (** the codec's canonical encoding *)
   hits : int;
   builds : int;
+  priced : int;
   unfit : int;
   dedup : int;
   pruned : int;
@@ -45,6 +48,7 @@ type candidate = {
 type accounting = {
   a_hits : int;
   a_builds : int;
+  a_priced : int;
   a_unfit : int;
   a_dedup : int;
   a_pruned : int;

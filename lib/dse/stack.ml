@@ -1219,9 +1219,9 @@ module Make (T : Target.S) = struct
           Measure.with_rows first rows
 
     (* Through the engine (not a bare [Apps.Registry.seconds]) so every
-       verification simulation is memoized and counted in [dse.builds]
-       — the base point is always a cache hit (measured during model
-       building). *)
+       verification is memoized and counted in [dse.builds] or
+       [dse.engine.priced] — the base point is always a cache hit
+       (measured during model building). *)
     let runtime_change app config =
       let engine = Engine.default () in
       let base = (Engine.eval_on engine T.probe app T.base).Cost.seconds in

@@ -28,6 +28,20 @@ type 'c probe = {
   device_brams : int;
   simulate : Apps.Registry.t -> 'c -> float * Sim.Profiler.t;
       (** cycle-accurate (seconds, profile) of one application run *)
+  representative : run:('c -> Sim.Profiler.t) -> 'c -> 'c;
+      (** The configuration whose simulation this one is priced from:
+          every price-only field (one that only {!Sim.Cost_model}'s
+          stall prices read) at its base value, so configurations of
+          one shape share one representative.  A target whose window
+          count can change also lowers it to the smallest count at
+          which [base] takes no window trap, when the configuration's
+          count is at or above it: walking up from the smallest count,
+          [run c] is the profile of simulating [c], a configuration
+          that is its own representative. *)
+  price : 'c -> Sim.Profiler.t -> float * Sim.Profiler.t;
+      (** [price c p] is what [simulate] reports for [c], given the
+          profile [p] of [c]'s representative:
+          {!Sim.Cost_model.price} under [c]'s cost table. *)
   static_bounds : (Apps.Registry.t -> 'c -> float * float) option;
       (** sound [best, worst] runtime bounds (seconds, full
           reps-scaled run — the same unit [simulate] reports) computed
@@ -35,6 +49,12 @@ type 'c probe = {
           cost model.  The engine's bounds-admission path uses this to
           skip provably dominated simulations. *)
 }
+
+(* The [price] field of both targets: one cost table per
+   configuration, the seconds [simulate] would report. *)
+let price_with cycle_model config profile =
+  let p = Sim.Cost_model.price (cycle_model config) profile in
+  (Sim.Machine.profile_seconds p, p)
 
 module type S = sig
   (** One soft-core backend, as consumed by [Stack.Make]. *)

@@ -362,6 +362,16 @@ let run_program ?mem_size config prog =
 let cycle_model config =
   Bounds.of_arch_config ~shift_stall:(shift_stall config) (lower config)
 
+(* The barrel shifter, multiplier and divider lower to stall prices
+   only; the window count is pinned, so there is nothing to walk. *)
+let representative ~run:_ (c : config) =
+  {
+    c with
+    Arch.Mb_config.barrel_shifter = base.Arch.Mb_config.barrel_shifter;
+    multiplier = base.Arch.Mb_config.multiplier;
+    divider = base.Arch.Mb_config.divider;
+  }
+
 let probe =
   {
     Target.target = name;
@@ -375,6 +385,8 @@ let probe =
       (fun app config ->
         let result = run_app ~config app in
         (Sim.Machine.seconds result, result.Sim.Machine.profile));
+    representative;
+    price = Target.price_with cycle_model;
     static_bounds =
       Some (fun app config -> Bounds.app_bounds (cycle_model config) app);
   }

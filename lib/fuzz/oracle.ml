@@ -1003,6 +1003,126 @@ let segmented_vs_plain =
           && segmented_matches (module Dse.Target_microblaze) mb ~cuts app);
     }
 
+(* Pricing replaces simulation for configurations that differ only in
+   stall prices, so a priced profile must equal the simulated one field
+   for field: from a random configuration's run to a random price-only
+   perturbation of it (on LEON2 also at a larger window count when the
+   run takes no window trap), and from the perturbation's own
+   representative, as the engine prices it. *)
+let priced_matches (type c) (module T : Dse.Target.S with type config = c)
+    ~(from : c) (target : c) app =
+  let run config = (T.run_app ~config app).Sim.Machine.profile in
+  let simulated = run target in
+  let compare_to what (seconds, priced) =
+    List.iter2
+      (fun (field, s) (_, p) ->
+        if s <> p then
+          T2.fail_reportf "%s: priced from %s %s = %d, simulated %d under %s"
+            T.name what field p s (T.to_string target))
+      (Sim.Profiler.to_assoc simulated)
+      (Sim.Profiler.to_assoc priced);
+    if seconds <> Sim.Machine.profile_seconds simulated then
+      T2.fail_reportf "%s: priced seconds differ under %s" T.name
+        (T.to_string target)
+  in
+  compare_to (T.to_string from) (T.probe.Dse.Target.price target (run from));
+  let rep = T.probe.Dse.Target.representative ~run target in
+  compare_to "the representative"
+    (T.probe.Dse.Target.price target (run rep));
+  true
+
+(* [c] with every price-only field of [prices]: the representative's
+   complement, so the two differ in stall prices alone. *)
+let leon2_reprice (c : Arch.Config.t) ~(prices : Arch.Config.t) =
+  {
+    prices with
+    Arch.Config.icache = c.Arch.Config.icache;
+    dcache = c.Arch.Config.dcache;
+    iu = { prices.Arch.Config.iu with reg_windows = c.Arch.Config.iu.reg_windows };
+  }
+
+let mb_reprice (c : Arch.Mb_config.t) ~(prices : Arch.Mb_config.t) =
+  {
+    c with
+    Arch.Mb_config.barrel_shifter = prices.Arch.Mb_config.barrel_shifter;
+    multiplier = prices.Arch.Mb_config.multiplier;
+    divider = prices.Arch.Mb_config.divider;
+  }
+
+let priced_vs_simulated =
+  let gen =
+    let open QCheck2.Gen in
+    let* p = Gen.program in
+    let* leon2 = Gen.config in
+    let* leon2_prices = Gen.config in
+    let* mb = Gen.mb_config in
+    let* mb_prices = Gen.mb_config in
+    let* reps = int_range 1 3 in
+    let+ larger = int_range 0 16 in
+    (p, (leon2, leon2_prices), (mb, mb_prices), reps, larger)
+  in
+  T
+    {
+      name = "priced-vs-simulated";
+      doc =
+        "a configuration priced from the run of one that differs only in \
+         stall prices (or, trap-free, in a larger window count) equals its \
+         own simulation (LEON2 and MicroBlaze)";
+      gen;
+      print =
+        (fun (p, (leon2, leon2_prices), (mb, mb_prices), reps, larger) ->
+          Printf.sprintf
+            "// leon2: %s\n// leon2 prices from: %s\n// microblaze: %s\n\
+             // microblaze prices from: %s\n// reps: %d, larger count index: \
+             %d\n%s"
+            (Gen.print_config leon2) (Gen.print_config leon2_prices)
+            (Gen.print_mb_config mb) (Gen.print_mb_config mb_prices) reps
+            larger (Gen.print_program p));
+      prop =
+        (fun (p, (leon2, leon2_prices), (mb, mb_prices), reps, larger) ->
+          checked p;
+          let app =
+            {
+              Apps.Registry.name = "fuzz";
+              description = "generated program";
+              source = p;
+              program = Lazy.from_val (Minic.Codegen.compile p);
+              reps;
+              paper_base_seconds = Float.nan;
+            }
+          in
+          let repriced = leon2_reprice leon2 ~prices:leon2_prices in
+          (* the window case: a trap-free run at count w priced for a
+             larger count *)
+          let windowed =
+            let prof =
+              (Dse.Target_leon2.run_app ~config:leon2 app).Sim.Machine.profile
+            in
+            let w = leon2.Arch.Config.iu.Arch.Config.reg_windows in
+            match
+              List.filter (fun n -> n > w) Arch.Config.valid_reg_windows
+            with
+            | counts
+              when counts <> []
+                   && prof.Sim.Profiler.window_overflows = 0
+                   && prof.Sim.Profiler.window_underflows = 0 ->
+                let n = List.nth counts (larger mod List.length counts) in
+                {
+                  repriced with
+                  Arch.Config.iu =
+                    { repriced.Arch.Config.iu with Arch.Config.reg_windows = n };
+                }
+            | _ -> repriced
+          in
+          priced_matches (module Dse.Target_leon2) ~from:leon2 repriced app
+          && priced_matches (module Dse.Target_leon2) ~from:leon2 windowed app
+          && priced_matches
+               (module Dse.Target_microblaze)
+               ~from:mb
+               (mb_reprice mb ~prices:mb_prices)
+               app);
+    }
+
 let all =
   [
     interp_vs_sim;
@@ -1022,6 +1142,7 @@ let all =
     schedule_dominance;
     phase_determinism;
     segmented_vs_plain;
+    priced_vs_simulated;
   ]
 
 let find n = List.find_opt (fun o -> name o = n) all

@@ -113,5 +113,14 @@ val segmented_vs_plain : t
     identity behind the engine serving a whole-run evaluation from a
     segmented one. *)
 
+val priced_vs_simulated : t
+(** Random program x random LEON2 and MicroBlaze configurations x a
+    random price-only perturbation of each x 1-3 reps: the
+    perturbation priced ({!Dse.Target.probe}'s [price]) from the
+    configuration's run, and from its own representative's run, equals
+    its simulation field for field; on LEON2 also at a random larger
+    window count when the run takes no window trap — the identity
+    behind the engine pricing instead of simulating. *)
+
 val all : t list
 val find : string -> t option

@@ -43,33 +43,63 @@ let term =
     const make $ verbosity_arg $ trace_out_arg $ metrics_out_arg
     $ profile_out_arg)
 
+let exit_output = 2
+
 let install t =
   Obs.Log.setup ~verbosity:t.verbosity ();
   if t.trace_out <> None then Obs.Trace.set_enabled true;
   if t.profile_out <> None then Obs.Profile.start ()
 
-let finish t =
-  (match t.trace_out with
-  | None -> ()
-  | Some path ->
-      Obs.Export.write_trace path;
-      Logs.info (fun m -> m "wrote Chrome trace to %s" path));
-  (match t.profile_out with
-  | None -> ()
-  | Some path ->
-      Obs.Profile.stop ();
-      Obs.Export.write_profile path;
-      Logs.info (fun m ->
-          m "wrote folded-stacks profile (%d samples) to %s"
-            (Obs.Profile.total_samples ()) path));
-  match t.metrics_out with
-  | None -> ()
-  | Some path ->
-      Obs.Export.write_metrics path;
-      Logs.info (fun m -> m "wrote metrics snapshot to %s" path)
+(* Every requested output file is opened before the run, so a bad path
+   fails at once instead of after the whole run. *)
+type outputs = {
+  trace : (string * out_channel) option;
+  profile : (string * out_channel) option;
+  metrics : (string * out_channel) option;
+}
+
+let open_outputs t =
+  let opened = ref [] in
+  let open_one = function
+    | None -> None
+    | Some path ->
+        let oc = open_out_bin path in
+        opened := oc :: !opened;
+        Some (path, oc)
+  in
+  match
+    let trace = open_one t.trace_out in
+    let profile = open_one t.profile_out in
+    let metrics = open_one t.metrics_out in
+    { trace; profile; metrics }
+  with
+  | outputs -> Ok outputs
+  | exception Sys_error m ->
+      List.iter close_out_noerr !opened;
+      Error m
+
+let write file f what =
+  Option.iter
+    (fun (path, oc) ->
+      Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> f oc);
+      Logs.info (fun m -> m "wrote %s to %s" what path))
+    file
+
+let finish o =
+  write o.trace Obs.Export.write_trace "Chrome trace";
+  if o.profile <> None then Obs.Profile.stop ();
+  write o.profile Obs.Export.write_profile
+    (Printf.sprintf "folded-stacks profile (%d samples)"
+       (Obs.Profile.total_samples ()));
+  write o.metrics Obs.Export.write_metrics "metrics snapshot"
 
 let with_reporting t root f =
-  install t;
-  Fun.protect
-    ~finally:(fun () -> finish t)
-    (fun () -> Obs.Span.with_ ~cat:"cli" root f)
+  match open_outputs t with
+  | Error m ->
+      Printf.eprintf "%s: cannot open output file: %s\n%!" root m;
+      exit exit_output
+  | Ok outputs ->
+      install t;
+      Fun.protect
+        ~finally:(fun () -> finish outputs)
+        (fun () -> Obs.Span.with_ ~cat:"cli" root f)

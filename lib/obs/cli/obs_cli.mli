@@ -13,15 +13,15 @@ type t = {
 
 val term : t Cmdliner.Term.t
 
-val install : t -> unit
-(** Set up the [Logs] reporter/level and enable span recording when a
-    trace file was requested. *)
-
-val finish : t -> unit
-(** Write the requested export files (logs where they went at info
-    level). *)
+val exit_output : int
+(** 2: the exit status of a run whose [--trace-out], [--metrics-out] or
+    [--profile-out] file cannot be opened. *)
 
 val with_reporting : t -> string -> (unit -> 'a) -> 'a
-(** [install], run the thunk under a root span named after the tool,
-    then [finish] (also on exceptions, so a failing run still leaves a
-    loadable trace). *)
+(** [with_reporting t tool f] opens every requested output file, sets
+    up the [Logs] reporter and level, enables span recording when a
+    trace was requested and the sampling profiler when a profile was,
+    runs [f] under a root span named [tool], then writes the files
+    (also on exceptions, so a failing run still leaves a loadable
+    trace).  A file that cannot be opened ends the process before [f]
+    runs: one line on stderr and exit {!exit_output}. *)

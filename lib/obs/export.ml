@@ -51,16 +51,10 @@ let trace_json () =
 
 let trace_to_string () = Json.to_string (trace_json ())
 
-let write_file path contents =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc contents)
-
-let write_trace path = write_file path (trace_to_string ())
+let write_trace oc = output_string oc (trace_to_string ())
 
 let metrics_json () = Metrics.to_json (Metrics.snapshot ())
 
-let write_metrics path = write_file path (Json.to_string (metrics_json ()))
+let write_metrics oc = output_string oc (Json.to_string (metrics_json ()))
 
-let write_profile path = write_file path (Profile.folded ())
+let write_profile oc = output_string oc (Profile.folded ())

@@ -14,14 +14,14 @@ val trace_json : unit -> Json.t
 
 val trace_to_string : unit -> string
 
-val write_trace : string -> unit
-(** Write {!trace_to_string} to a file. *)
+val write_trace : out_channel -> unit
+(** Write {!trace_to_string} to a channel. *)
 
 val metrics_json : unit -> Json.t
 (** Snapshot of the metrics registry, keyed by metric name. *)
 
-val write_metrics : string -> unit
+val write_metrics : out_channel -> unit
 
-val write_profile : string -> unit
+val write_profile : out_channel -> unit
 (** Write the sampling profiler's folded-stacks table (see
     {!Profile.folded}) — feed to flamegraph.pl or speedscope. *)

@@ -79,3 +79,47 @@ let halt_cycles _ = 1
    store, every filled register a potential line miss. *)
 let spill_worst t = trap_overhead + (window_regs * store_cycles t)
 let fill_worst t = trap_overhead + (window_regs * (load_hit_cycles t + t.dline_fill))
+
+(* Pricing: the profile a configuration priced by [t] produces from the
+   event stream of [p], a run of a configuration of the same shape (the
+   same caches and, when it traps, the same window count).  Every event
+   count is the run's; cycles are re-derived class by class from the
+   prices above, and the two stall counts fire on their candidates only
+   when their price is non-zero.  Instructions outside the priced
+   classes (plain ALU, sethi, nop, save, restore, halt) cost one cycle
+   each; every spill is its worst case (stores never miss-stall) and
+   every fill its hit price plus the line fills already counted in the
+   read misses. *)
+let price t (p : Profiler.t) =
+  let spills = p.Profiler.window_overflows
+  and fills = p.Profiler.window_underflows in
+  let loads = p.Profiler.dcache_reads - (window_regs * fills) in
+  let stores = p.Profiler.dcache_writes - (window_regs * spills) in
+  let others =
+    p.Profiler.instructions - p.Profiler.shifts - p.Profiler.mults
+    - p.Profiler.divs - loads - stores - p.Profiler.branches
+    - p.Profiler.jumps
+  in
+  let cycles =
+    (others * alu_cycles t)
+    + (p.Profiler.shifts * shift_cycles t)
+    + (p.Profiler.mults * mul_cycles t)
+    + (p.Profiler.divs * div_cycles t)
+    + (loads * load_hit_cycles t)
+    + (stores * store_cycles t)
+    + (p.Profiler.branches * branch_cycles t)
+    + (p.Profiler.taken_branches * taken_extra t)
+    + (p.Profiler.jumps * jump_cycles t)
+    + (p.Profiler.icc_waits * t.icc_stall)
+    + (p.Profiler.load_uses * t.interlock)
+    + (p.Profiler.icache_misses * t.iline_fill)
+    + (p.Profiler.dcache_read_misses * t.dline_fill)
+    + (spills * spill_worst t)
+    + (fills * (trap_overhead + (window_regs * load_hit_cycles t)))
+  in
+  {
+    p with
+    Profiler.cycles;
+    load_interlocks = (if t.interlock > 0 then p.Profiler.load_uses else 0);
+    icc_hold_stalls = (if t.icc_stall > 0 then p.Profiler.icc_waits else 0);
+  }

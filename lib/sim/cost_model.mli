@@ -9,7 +9,8 @@
       line fills, interlocks, window traps — charged from the same
       fields at run time);
     - [Dse.Bounds] prices {!Minic.Bounds} instruction-mix intervals
-      with the per-class functions below.
+      with the per-class functions below;
+    - {!price} prices a run's event counts with the same functions.
 
     Stall pricing must live here and only here: a class priced in two
     places can silently drift, which is precisely the bug class the
@@ -77,3 +78,18 @@ val spill_worst : t -> int
 
 val fill_worst : t -> int
 (** Worst-case window-underflow trap (every load a line miss). *)
+
+(** {2 Pricing a run} *)
+
+val price : t -> Profiler.t -> Profiler.t
+(** [price t p] is the profile a configuration whose table is [t]
+    produces, given the profile [p] of a run of a configuration that
+    differs from it only in stall prices ([interlock], [shift_stall],
+    [mul_stall], [div_stall], [icc_stall], [decode_extra],
+    [jump_extra]), or also in the window count when neither run takes
+    a window trap.  Event counts are [p]'s; [cycles] is re-derived
+    class by class from the per-class prices above, [load_interlocks]
+    is [load_uses] when [t] interlocks (else 0) and [icc_hold_stalls]
+    is [icc_waits] when [t] holds (else 0).  Exact: it equals that
+    configuration's own simulation field for field, reps-scaled
+    profiles included, since every term is linear in the counts. *)

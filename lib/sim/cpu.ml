@@ -256,8 +256,8 @@ let compile t idx (d : Decode.insn) =
   let tgt = d.Decode.target in
   let prof = t.prof in
   match d.Decode.op with
-  | Decode.Alu (op, cc) ->
-      fun () ->
+  | Decode.Alu (op, cc) -> (
+      let exec () =
         let c = front t base fetch fline in
         t.prev_set_icc <- cc;
         let a = rread t rs1 in
@@ -266,6 +266,14 @@ let compile t idx (d : Decode.insn) =
         if cc then set_icc_arith t op a b res;
         rwrite t rd res;
         commit t fall c
+      in
+      (* only shifts pay for the shift count *)
+      match op with
+      | Isa.Insn.Sll | Isa.Insn.Srl | Isa.Insn.Sra ->
+          fun () ->
+            prof.Profiler.shifts <- prof.Profiler.shifts + 1;
+            exec ()
+      | _ -> exec)
   | Decode.Sethi ->
       fun () ->
         let c = front t base fetch fline in
@@ -305,6 +313,7 @@ let compile t idx (d : Decode.insn) =
         prof.Profiler.divs <- prof.Profiler.divs + 1;
         commit t fall c
   | Decode.Load (width, signed) ->
+      let use = d.Decode.load_use in
       let il = d.Decode.interlock in
       fun () ->
         let c = front t base fetch fline in
@@ -331,11 +340,17 @@ let compile t idx (d : Decode.insn) =
         rwrite t rd (v land mask32);
         let c = c + dload_extra t addr in
         (* load-delay interlock against an immediately dependent user;
-           the dependence is static, priced at decode time *)
+           the dependence is static, priced at decode time, and counted
+           whatever its price *)
         let c =
-          if il > 0 then begin
-            prof.Profiler.load_interlocks <- prof.Profiler.load_interlocks + 1;
-            c + il
+          if use then begin
+            prof.Profiler.load_uses <- prof.Profiler.load_uses + 1;
+            if il > 0 then begin
+              prof.Profiler.load_interlocks <-
+                prof.Profiler.load_interlocks + 1;
+              c + il
+            end
+            else c
           end
           else c
         in
@@ -364,12 +379,18 @@ let compile t idx (d : Decode.insn) =
         commit t tgt (c + 1)
   | Decode.Branch cond ->
       let icc_wait = d.Decode.icc_wait in
+      let hold = t.cm.Cost_model.icc_stall in
       fun () ->
         let c = front t base fetch fline in
         let c =
           if icc_wait && t.prev_set_icc then begin
-            prof.Profiler.icc_hold_stalls <- prof.Profiler.icc_hold_stalls + 1;
-            c + 1
+            prof.Profiler.icc_waits <- prof.Profiler.icc_waits + 1;
+            if hold > 0 then begin
+              prof.Profiler.icc_hold_stalls <-
+                prof.Profiler.icc_hold_stalls + 1;
+              c + hold
+            end
+            else c
           end
           else c
         in
@@ -384,12 +405,14 @@ let compile t idx (d : Decode.insn) =
       fun () ->
         let c = front t base fetch fline in
         t.prev_set_icc <- false;
+        prof.Profiler.jumps <- prof.Profiler.jumps + 1;
         rwrite t rd idx;
         commit t tgt c
   | Decode.Jmpl ->
       fun () ->
         let c = front t base fetch fline in
         t.prev_set_icc <- false;
+        prof.Profiler.jumps <- prof.Profiler.jumps + 1;
         let target =
           (rread t rs1 + if rs2 >= 0 then rread t rs2 else imm) land mask32
         in
@@ -557,7 +580,7 @@ let reconfigure ?(shift_stall = 0) ?(keep_caches = false) t config =
   t.dlast <- -1;
   t.handlers <- Array.mapi (compile t) (Decode.of_program t.cm t.prog)
 
-let step t =
+let step_unchecked t =
   if t.halted then false
   else begin
     let h = t.handlers in
@@ -568,21 +591,31 @@ let step t =
     not t.halted
   end
 
+(* A memory fault surfaces as the typed [Error] at the run entry
+   points, one handler per call rather than one per instruction; the
+   faulting instruction has not committed, so [t.pc] still names it. *)
+let guarded t f =
+  try f () with Memory.Fault m -> error "memory fault at pc %d: %s" t.pc m
+
+let step t = guarded t (fun () -> step_unchecked t)
+
 let run ?(max_insns = 200_000_000) t =
+  guarded t @@ fun () ->
   let budget = ref max_insns in
   let continue = ref (not t.halted) in
   while !continue do
     if !budget <= 0 then error "instruction budget exhausted";
     decr budget;
-    continue := step t
+    continue := step_unchecked t
   done
 
 (* Run until the profiler has retired [insns] instructions in total
    (each step retires exactly one), or the program halts first. *)
 let run_until t ~insns =
+  guarded t @@ fun () ->
   let continue = ref (not t.halted) in
   while !continue && t.prof.Profiler.instructions < insns do
-    continue := step t
+    continue := step_unchecked t
   done
 
 let profile t = t.prof

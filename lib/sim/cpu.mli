@@ -51,15 +51,19 @@ val reconfigure :
     register-window count, which holds live architectural state. *)
 
 val step : t -> bool
-(** Execute one instruction; [false] once halted. *)
+(** Execute one instruction; [false] once halted.
+    @raise Error on malformed execution, memory faults included. *)
 
 val run : ?max_insns:int -> t -> unit
-(** Run to [Halt].  @raise Error if the budget (default 2e8) runs out. *)
+(** Run to [Halt].
+    @raise Error if the budget (default 2e8) runs out, or on malformed
+    execution, memory faults included. *)
 
 val run_until : t -> insns:int -> unit
 (** Run until the profiler's total retired-instruction count reaches
     [insns] (each step retires exactly one instruction), or the program
-    halts, whichever comes first. *)
+    halts, whichever comes first.
+    @raise Error on malformed execution, memory faults included. *)
 
 val profile : t -> Profiler.t
 val reset_profile : t -> unit

@@ -8,8 +8,8 @@
    call/return).  Dynamic costs — line fills, the ICC hold against the
    previous instruction, window traps, the taken-branch redirect —
    remain runtime decisions, but their trigger conditions are
-   precomputed where static ([icc_wait], the load-delay [interlock]
-   against the textually next instruction). *)
+   precomputed where static ([icc_wait], [load_use] and its load-delay
+   [interlock] against the textually next instruction). *)
 
 let m_programs =
   Obs.Metrics.Counter.v "sim.decode.programs"
@@ -46,8 +46,9 @@ type insn = {
   base_cycles : int;  (* 1 + all deterministic stalls *)
   fetch_addr : int;  (* byte address of the fetch, [4 * index] *)
   sets_icc : bool;
-  icc_wait : bool;  (* reads condition codes under the hold interlock *)
-  interlock : int;  (* load-delay stall iff the next insn reads [rd] *)
+  icc_wait : bool;  (* reads the condition codes: an ICC-hold candidate *)
+  load_use : bool;  (* a load whose next insn reads [rd] *)
+  interlock : int;  (* load-delay stall iff [load_use] *)
 }
 
 let no_reg = -1
@@ -97,14 +98,13 @@ let of_insn (cm : Cost_model.t) code idx insn =
   in
   (* Load-delay interlock against an immediately dependent user: loads
      always fall through to [idx + 1], so the check is fully static. *)
-  let interlock =
+  let load_use =
     match insn with
-    | Isa.Insn.Load { rd; _ }
-      when cm.Cost_model.interlock > 0 && rd <> 0
-           && idx + 1 < Array.length code
-           && List.mem rd (Isa.Insn.reads code.(idx + 1)) ->
-        cm.Cost_model.interlock
-    | _ -> 0
+    | Isa.Insn.Load { rd; _ } ->
+        rd <> 0
+        && idx + 1 < Array.length code
+        && List.mem rd (Isa.Insn.reads code.(idx + 1))
+    | _ -> false
   in
   {
     op;
@@ -116,8 +116,9 @@ let of_insn (cm : Cost_model.t) code idx insn =
     base_cycles;
     fetch_addr = idx * 4;
     sets_icc = Isa.Insn.sets_icc insn;
-    icc_wait = cm.Cost_model.icc_stall > 0 && Isa.Insn.uses_icc insn;
-    interlock;
+    icc_wait = Isa.Insn.uses_icc insn;
+    load_use;
+    interlock = (if load_use then cm.Cost_model.interlock else 0);
   }
 
 let of_program cm (prog : Isa.Program.t) =

@@ -32,10 +32,14 @@ type insn = {
   base_cycles : int;  (** 1 + every deterministic stall *)
   fetch_addr : int;  (** byte address of the fetch, [4 * index] *)
   sets_icc : bool;
-  icc_wait : bool;  (** reads condition codes under the hold interlock *)
+  icc_wait : bool;
+      (** reads the condition codes, so it waits under the ICC-hold
+          interlock when the previous instruction wrote them *)
+  load_use : bool;
+      (** a load whose textually next instruction reads its
+          destination *)
   interlock : int;
-      (** load-delay stall charged when the textually next instruction
-          reads this load's destination; 0 otherwise *)
+      (** load-delay stall charged when [load_use]; 0 otherwise *)
 }
 
 val of_program : Cost_model.t -> Isa.Program.t -> insn array

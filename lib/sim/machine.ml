@@ -78,7 +78,8 @@ let run ?(mem_size = default_mem_size) ?(reps = 1) ?shift_stall config prog =
     }
   end
 
-let seconds r = float_of_int r.profile.Profiler.cycles /. clock_hz
+let profile_seconds (p : Profiler.t) = float_of_int p.Profiler.cycles /. clock_hz
+let seconds r = profile_seconds r.profile
 
 (* ------------------------------------------------------------------ *)
 (* Phased execution: run the same program while switching the

@@ -35,6 +35,10 @@ val run :
 val seconds : result -> float
 (** Scaled runtime in seconds at {!clock_hz}. *)
 
+val profile_seconds : Profiler.t -> float
+(** A profile's cycles in seconds at {!clock_hz}: [seconds r] is
+    [profile_seconds r.profile]. *)
+
 (** {2 Phased execution}
 
     Runtime reconfiguration: the same program runs while the

@@ -14,6 +14,10 @@ type t = {
   mutable window_underflows : int;
   mutable load_interlocks : int;
   mutable icc_hold_stalls : int;
+  mutable shifts : int;
+  mutable jumps : int;
+  mutable load_uses : int;
+  mutable icc_waits : int;
 }
 
 let create () =
@@ -33,6 +37,10 @@ let create () =
     window_underflows = 0;
     load_interlocks = 0;
     icc_hold_stalls = 0;
+    shifts = 0;
+    jumps = 0;
+    load_uses = 0;
+    icc_waits = 0;
   }
 
 let reset t =
@@ -50,7 +58,11 @@ let reset t =
   t.window_overflows <- 0;
   t.window_underflows <- 0;
   t.load_interlocks <- 0;
-  t.icc_hold_stalls <- 0
+  t.icc_hold_stalls <- 0;
+  t.shifts <- 0;
+  t.jumps <- 0;
+  t.load_uses <- 0;
+  t.icc_waits <- 0
 
 let copy t = { t with cycles = t.cycles }
 
@@ -71,6 +83,10 @@ let map2 f a b =
     window_underflows = f a.window_underflows b.window_underflows;
     load_interlocks = f a.load_interlocks b.load_interlocks;
     icc_hold_stalls = f a.icc_hold_stalls b.icc_hold_stalls;
+    shifts = f a.shifts b.shifts;
+    jumps = f a.jumps b.jumps;
+    load_uses = f a.load_uses b.load_uses;
+    icc_waits = f a.icc_waits b.icc_waits;
   }
 
 let add = map2 ( + )
@@ -97,6 +113,10 @@ let to_assoc t =
     ("window_underflows", t.window_underflows);
     ("load_interlocks", t.load_interlocks);
     ("icc_hold_stalls", t.icc_hold_stalls);
+    ("shifts", t.shifts);
+    ("jumps", t.jumps);
+    ("load_uses", t.load_uses);
+    ("icc_waits", t.icc_waits);
   ]
 
 let to_json t =
@@ -105,7 +125,7 @@ let to_json t =
 (* Structural sanity of a profile.  Hits are derived (hits = accesses -
    misses), so "hits + misses = accesses" holds exactly when misses do
    not exceed accesses; stalls and retirements cannot outnumber elapsed
-   cycles. *)
+   cycles; a stall fires only on an event that can cost it. *)
 let invariants t =
   [
     ("counters non-negative", List.for_all (fun (_, v) -> v >= 0) (to_assoc t));
@@ -116,6 +136,8 @@ let invariants t =
     ("taken branches <= branches", t.taken_branches <= t.branches);
     ( "stall classes fit in cycles",
       t.load_interlocks + t.icc_hold_stalls <= t.cycles );
+    ("load interlocks <= load uses", t.load_interlocks <= t.load_uses);
+    ("icc hold stalls <= icc waits", t.icc_hold_stalls <= t.icc_waits);
   ]
 
 let check t =

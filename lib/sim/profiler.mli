@@ -5,6 +5,11 @@
     processor and counts cycles and events without perturbing the
     execution. *)
 
+(** Every count but [cycles], [load_interlocks] and [icc_hold_stalls]
+    is independent of the {!Cost_model} stall prices: configurations
+    that differ only in those prices replay the same events, and
+    {!Cost_model.price} derives the three price-dependent fields from
+    the others. *)
 type t = {
   mutable cycles : int;
   mutable instructions : int;
@@ -19,8 +24,16 @@ type t = {
   mutable divs : int;
   mutable window_overflows : int;
   mutable window_underflows : int;
-  mutable load_interlocks : int;
-  mutable icc_hold_stalls : int;
+  mutable load_interlocks : int;  (** load uses that stalled *)
+  mutable icc_hold_stalls : int;  (** ICC waits that stalled *)
+  mutable shifts : int;  (** shift instructions *)
+  mutable jumps : int;  (** CALL and JMPL transfers *)
+  mutable load_uses : int;
+      (** loads whose textually next instruction reads the loaded
+          register: the load-delay interlock candidates *)
+  mutable icc_waits : int;
+      (** conditional branches right after a condition-code write: the
+          ICC-hold candidates *)
 }
 
 val create : unit -> t
@@ -45,8 +58,9 @@ val to_json : t -> Obs.Json.t
 
 val invariants : t -> (string * bool) list
 (** Named structural invariants of a profile (misses bounded by
-    accesses, [instructions <= cycles], stalls fit in cycles, ...);
-    each paired with whether it holds. *)
+    accesses, [instructions <= cycles], stalls fit in cycles, each
+    stall bounded by its candidates, ...); each paired with whether it
+    holds. *)
 
 val check : t -> (unit, string) result
 (** [Error] lists the violated {!invariants}. *)

@@ -31,9 +31,9 @@ let () =
   match Array.to_list Sys.argv with
   | [ _; pass1_path; pass2_path ] ->
       pipeline ();
-      Obs.Export.write_metrics pass1_path;
+      Out_channel.with_open_bin pass1_path Obs.Export.write_metrics;
       pipeline ();
-      Obs.Export.write_metrics pass2_path;
+      Out_channel.with_open_bin pass2_path Obs.Export.write_metrics;
       let parse path =
         match Obs.Json.parse (read_file path) with
         | Ok json -> json

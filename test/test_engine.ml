@@ -326,6 +326,160 @@ let test_segments_keep_whole_run () =
   check_bool "still reported infeasible" true
     (Dse.Engine.eval_feasible_on e probe app unfit = None)
 
+(* --- Pricing --- *)
+
+(* Single-parameter perturbations of [base] in price-only groups:
+   every one shares [base]'s representative on a trap-free app. *)
+let price_only_leon2 =
+  List.filter_map
+    (fun (v : Arch.Param.var) ->
+      match v.Arch.Param.group with
+      | Arch.Param.Fast_read | Arch.Param.Fast_write | Arch.Param.Fast_jump
+      | Arch.Param.Icc_hold | Arch.Param.Fast_decode | Arch.Param.Load_delay
+      | Arch.Param.Reg_windows | Arch.Param.Divider | Arch.Param.Multiplier
+      | Arch.Param.Infer_mult_div ->
+          Some (v.Arch.Param.apply Arch.Config.base)
+      | _ -> None)
+    Arch.Param.all
+
+let price_only_microblaze =
+  List.filter_map
+    (fun (v : Arch.Mb_param.var) ->
+      match v.Arch.Mb_param.group with
+      | Arch.Mb_param.Barrel_shifter | Arch.Mb_param.Multiplier
+      | Arch.Mb_param.Divider ->
+          Some (v.Arch.Mb_param.apply Arch.Mb_config.base)
+      | _ -> None)
+    Arch.Mb_param.all
+
+let priced_like_simulated (type c) (probe : c Dse.Target.probe) base
+    (perturbations : c list) =
+  let app = Apps.Registry.arith in
+  let e = Dse.Engine.create () in
+  let before = Obs.Metrics.snapshot () in
+  let evaluated =
+    List.map (Dse.Engine.eval_profiled_on e probe app) (base :: perturbations)
+  in
+  let after = Obs.Metrics.snapshot () in
+  check_int (probe.Dse.Target.target ^ ": one simulation") 1
+    (delta before after "sim.runs");
+  check_int (probe.Dse.Target.target ^ ": one build") 1
+    (delta before after "dse.builds");
+  check_int
+    (probe.Dse.Target.target ^ ": every perturbation priced")
+    (List.length perturbations)
+    (delta before after "dse.engine.priced");
+  List.iteri
+    (fun i (config, (cost, profile)) ->
+      let seconds, simulated = probe.Dse.Target.simulate app config in
+      check_bool
+        (Printf.sprintf "%s config %d: cost = direct simulation"
+           probe.Dse.Target.target i)
+        true
+        (compare cost
+           { Dse.Cost.seconds; resources = probe.Dse.Target.resources config }
+        = 0);
+      check_bool
+        (Printf.sprintf "%s config %d: profile = direct simulation"
+           probe.Dse.Target.target i)
+        true
+        (compare profile simulated = 0))
+    (List.combine (base :: perturbations) evaluated)
+
+let test_price_only_simulate_once () =
+  check_bool "LEON2 has price-only perturbations" true
+    (List.length price_only_leon2 > 20);
+  priced_like_simulated probe Arch.Config.base price_only_leon2;
+  priced_like_simulated Dse.Target_microblaze.probe Arch.Mb_config.base
+    price_only_microblaze
+
+(* Every whole-run miss is exactly one of a build or a priced
+   evaluation, over a batch mixing cache perturbations (their own
+   representatives), price-only ones and random configurations, on the
+   recursive qsort, whose window traps make the representative walk
+   the window counts. *)
+let test_misses_are_builds_or_priced () =
+  let app = Apps.Extra.qsort in
+  let configs =
+    List.map (fun (v : Arch.Param.var) -> v.Arch.Param.apply Arch.Config.base)
+      Arch.Param.all
+    @ List.init 12 config_of_seed
+  in
+  let configs = List.filter Synth.Estimate.feasible configs in
+  let pool = Dse.Pool.create ~workers:2 () in
+  Fun.protect
+    ~finally:(fun () -> Dse.Pool.shutdown pool)
+    (fun () ->
+      let e = Dse.Engine.create ~pool () in
+      let before = Obs.Metrics.snapshot () in
+      let costs = Dse.Engine.eval_all_feasible_on e probe app configs in
+      let after = Obs.Metrics.snapshot () in
+      check_bool "every configuration fits" true
+        (List.for_all (fun c -> c <> None) costs);
+      let misses = delta before after "dse.engine.misses" in
+      let builds = delta before after "dse.builds" in
+      let priced = delta before after "dse.engine.priced" in
+      check_int "one miss per configuration" (List.length configs) misses;
+      check_bool "both kinds present" true (builds > 0 && priced > 0);
+      check_int "misses = builds + priced" misses (builds + priced))
+
+(* The representatives a build simulates depend only on the requests:
+   one model build of qsort (base first, then every row on the pool,
+   as [Measure.build] does) on 1 and 2 workers does the same work. *)
+let test_build_work_independent_of_workers () =
+  let app = Apps.Extra.qsort in
+  let rows =
+    List.map
+      (fun (v : Arch.Param.var) ->
+        v.Arch.Param.apply (Dse.Target_leon2.reference_config v))
+      Arch.Param.all
+  in
+  let work workers =
+    let pool = Dse.Pool.create ~workers () in
+    Fun.protect
+      ~finally:(fun () -> Dse.Pool.shutdown pool)
+      (fun () ->
+        let e = Dse.Engine.create ~pool () in
+        let before = Obs.Metrics.snapshot () in
+        let base = Dse.Engine.eval_on e probe app Arch.Config.base in
+        let costs = Dse.Engine.map e (Dse.Engine.eval_on e probe app) rows in
+        let after = Obs.Metrics.snapshot () in
+        ( base :: costs,
+          List.map (delta before after) [ "sim.runs"; "dse.builds"; "sim.cycles" ]
+        ))
+  in
+  let costs1, work1 = work 1 and costs2, work2 = work 2 in
+  check_bool "same costs" true (compare costs1 costs2 = 0);
+  List.iter2
+    (fun name (w1, w2) -> check_int (name ^ " on 1 and 2 workers") w1 w2)
+    [ "sim.runs"; "dse.builds"; "sim.cycles" ]
+    (List.combine work1 work2);
+  check_bool "some rows priced" true
+    (List.nth work1 0 < List.length rows + 1)
+
+(* Representatives are engine state: [clear] forgets them, and they are
+   keyed by target name like every other entry. *)
+let test_representatives_cleared_and_per_target () =
+  let app = Apps.Registry.arith in
+  let perturbed = List.hd price_only_leon2 in
+  let runs f =
+    let before = Obs.Metrics.snapshot () in
+    f ();
+    delta before (Obs.Metrics.snapshot ()) "sim.runs"
+  in
+  let e = Dse.Engine.create () in
+  let eval probe c () = ignore (Dse.Engine.eval_on e probe app c) in
+  check_int "base simulates" 1 (runs (eval probe Arch.Config.base));
+  check_int "its perturbation is priced" 0 (runs (eval probe perturbed));
+  Dse.Engine.clear e;
+  check_int "after clear the representative is simulated again" 1
+    (runs (eval probe perturbed));
+  let renamed name = { probe with Dse.Target.target = name } in
+  let alpha = renamed "alpha" and beta = renamed "beta" in
+  check_int "alpha simulates its base" 1 (runs (eval alpha Arch.Config.base));
+  check_int "beta shares no representative with alpha" 1
+    (runs (eval beta perturbed))
+
 (* --- Pool --- *)
 
 let test_pool_map_order () =
@@ -465,6 +619,17 @@ let () =
             `Quick test_segments_serve_whole_run;
           Alcotest.test_case "a built whole-run entry is never replaced" `Quick
             test_segments_keep_whole_run;
+        ] );
+      ( "priced",
+        [
+          Alcotest.test_case "price-only perturbations simulate once" `Quick
+            test_price_only_simulate_once;
+          Alcotest.test_case "misses = builds + priced" `Quick
+            test_misses_are_builds_or_priced;
+          Alcotest.test_case "build work independent of workers" `Quick
+            test_build_work_independent_of_workers;
+          Alcotest.test_case "representatives cleared and per target" `Quick
+            test_representatives_cleared_and_per_target;
         ] );
       ( "pool",
         [

@@ -6,6 +6,7 @@
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+let check_string = Alcotest.(check string)
 
 (* --- Json --- *)
 
@@ -273,9 +274,21 @@ let test_profiler_invariants () =
   | Ok () -> ()
   | Error m -> Alcotest.failf "invariants violated: %s" m);
   let assoc = Sim.Profiler.to_assoc r.Sim.Machine.profile in
-  check_int "all 15 counters exported" 15 (List.length assoc);
+  check_int "all 19 counters exported" 19 (List.length assoc);
   check_int "cycles row matches" r.Sim.Machine.profile.Sim.Profiler.cycles
-    (List.assoc "cycles" assoc)
+    (List.assoc "cycles" assoc);
+  (* a stall beyond its candidates is caught, each by name *)
+  let broken name f =
+    let p = Sim.Profiler.copy r.Sim.Machine.profile in
+    f p;
+    match Sim.Profiler.check p with
+    | Ok () -> Alcotest.failf "expected a %s violation" name
+    | Error m -> check_string "names the broken invariant" name m
+  in
+  broken "load interlocks <= load uses" (fun p ->
+      p.Sim.Profiler.load_interlocks <- p.Sim.Profiler.load_uses + 1);
+  broken "icc hold stalls <= icc waits" (fun p ->
+      p.Sim.Profiler.icc_hold_stalls <- p.Sim.Profiler.icc_waits + 1)
 
 let test_profiler_invariants_all_apps () =
   List.iter
@@ -292,7 +305,7 @@ let test_profiler_json () =
   match
     Obs.Json.parse (Obs.Json.to_string (Sim.Profiler.to_json r.Sim.Machine.profile))
   with
-  | Ok (Obs.Json.Obj fields) -> check_int "profile fields" 15 (List.length fields)
+  | Ok (Obs.Json.Obj fields) -> check_int "profile fields" 19 (List.length fields)
   | Ok _ -> Alcotest.fail "expected object"
   | Error m -> Alcotest.failf "profile json does not parse: %s" m
 
