@@ -106,17 +106,6 @@ let perf () =
       | Some [] | None -> Format.printf "  %-40s (no estimate)@." name)
     (List.sort compare rows)
 
-let convex () =
-  Format.printf
-    "Convex recast study (paper future work): McCormick + LP-based B&B vs \
-     exact combinatorial B&B@.";
-  List.iter
-    (fun app ->
-      let model = Leon2.Measure.build app in
-      let s = Dse.Convex.run ~weights:Dse.Cost.runtime_weights model in
-      Dse.Convex.print ppf s)
-    Apps.Registry.all
-
 let baselines () =
   Format.printf
     "Heuristic DSE baselines vs the paper's method (w1=100, w2=1)@.";
@@ -140,17 +129,6 @@ let baselines () =
       Leon2.Heuristic.print_comparison ppf app.Apps.Registry.name
         [ paper; descent; random56; random200 ])
     Apps.Registry.all
-
-let sched () =
-  Format.printf
-    "Generic-domain study: DRR scheduler tuning under a 12 KB state budget \
-     (the paper's 'other configuration management problems')@.";
-  Format.printf "efficiency-first (weights 100, 1):@.";
-  Dse.Sched_tuning.print_outcome ppf
-    (Dse.Sched_tuning.Tuner.optimize ~weights:[| 100.0; 1.0 |]);
-  Format.printf "memory-first (weights 1, 100):@.";
-  Dse.Sched_tuning.print_outcome ppf
-    (Dse.Sched_tuning.Tuner.optimize ~weights:[| 1.0; 100.0 |])
 
 (* Static-vs-scheduled figure (ROADMAP item 2): phase-aware
    reconfiguration head to head with the static optimum on every
@@ -179,8 +157,8 @@ let experiments =
   [
     ("fig1", fig1); ("fig2", fig2); ("fig3", fig3); ("fig4", fig4);
     ("fig5", fig5); ("fig6", fig6); ("fig7", fig7);
-    ("ablation", ablation); ("energy", energy); ("convex", convex);
-    ("baselines", baselines); ("sched", sched); ("phases", phases_fig);
+    ("ablation", ablation); ("energy", energy); ("baselines", baselines);
+    ("phases", phases_fig);
   ]
 
 (* The numeric per-experiment measurements: the deltas of the
@@ -301,10 +279,12 @@ exception Bail of int
 (* Besides the history gate, an experiment fails the run when one of
    its verified runtimes fell outside its static bounds
    ([dse.bounds.violations]): the bounds analysis or the simulator is
-   wrong. *)
+   wrong.  [main] has already rejected every name but the experiments'
+   and "perf". *)
 let run_experiment ~history_path ~check ~rev ~profiling ~failed regressions
     name =
   match List.assoc_opt name experiments with
+  | None -> perf ()
   | Some f ->
       let before = Obs.Metrics.snapshot () in
       let samples0 = Obs.Profile.total_samples () in
@@ -359,14 +339,21 @@ let run_experiment ~history_path ~check ~rev ~profiling ~failed regressions
                    regs;
                  if regs <> [] then regressions := (name, regs) :: !regressions);
           Obs.History.append path entry)
-  | None when name = "perf" -> perf ()
-  | None ->
-      Format.eprintf "unknown experiment %S; known: %s, perf@." name
-        (String.concat ", " (List.map fst experiments));
-      raise (Bail 2)
 
+(* Every name is checked before anything runs, so a typo cannot cost
+   the experiments listed before it. *)
 let main names check history rev obs =
   let body () =
+    (match
+       List.find_opt
+         (fun name -> name <> "perf" && not (List.mem_assoc name experiments))
+         names
+     with
+    | None -> ()
+    | Some name ->
+        Format.eprintf "unknown experiment %S; known: %s, perf@." name
+          (String.concat ", " (List.map fst experiments));
+        raise (Bail 2));
     Obs_cli.with_reporting obs "bench" @@ fun () ->
     let history_path =
       match history with "none" | "" -> None | path -> Some path
@@ -404,7 +391,7 @@ let cmd =
   let names_arg =
     let doc =
       "Experiments to run (default: all except perf).  Known: fig1..fig7, \
-       ablation, energy, convex, baselines, sched, phases, perf."
+       ablation, energy, baselines, phases, perf."
     in
     Arg.(value & pos_all string [] & info [] ~doc ~docv:"EXPERIMENT")
   in
@@ -439,9 +426,9 @@ let cmd =
          violation or failed; the other experiments still run."
     :: Cmd.Exit.info 2
          ~doc:
-           "on an unknown experiment or an unreadable $(b,--history) file, or \
-            when a $(b,--trace-out), $(b,--metrics-out) or $(b,--profile-out) \
-            file cannot be opened."
+           "on an unknown experiment, before any experiment runs, on an \
+            unreadable $(b,--history) file, or when a $(b,--trace-out), \
+            $(b,--metrics-out) or $(b,--profile-out) file cannot be opened."
     :: Cmd.Exit.defaults
   in
   Cmd.v

@@ -1,26 +1,14 @@
-let queue_count = 256
-let slots_per_queue = 16
+let queues = 256
+let slot_shift = 4
+let slots = 1 lsl slot_shift
 let packets = 3072
 let quantum = 400
 
-let log2 n =
-  let rec go k = if 1 lsl k = n then k else go (k + 1) in
-  go 0
-
-let is_pow2 n = n > 0 && n land (n - 1) = 0
-
 open Minic.Ast
 
-(* The full benchmark, parameterized: the paper's Benchmark II is the
-   instance at the bottom; the scheduler-tuning domain
-   (Dse.Sched_tuning) explores other geometries and quanta through the
-   same generator.  [queues] and [slots] must be powers of two. *)
-let make_program ?(raw_total = false) ~queues ~slots ~quantum ~packets () =
-  if not (is_pow2 queues) then
-    invalid_arg "Drr.make_program: queues must be a power of two";
-  if not (is_pow2 slots) then
-    invalid_arg "Drr.make_program: slots must be a power of two";
-  let slot_shift = log2 slots in
+(* The paper's Benchmark II: [queues] queues of [slots] packet slots
+   each; both are powers of two so the ring indices wrap with a mask. *)
+let program =
   let slot_mask = Stdlib.( - ) slots 1 in
   let qmask = Stdlib.( - ) queues 1 in
   (* Enqueue a synthetic trace: queue and length from the LCG state. *)
@@ -112,8 +100,7 @@ let make_program ?(raw_total = false) ~queues ~slots ~quantum ~packets () =
         [
           Set ("accepted", Call ("enqueue", []));
           Set ("total", Call ("serve", [ v "accepted" ]));
-          (if raw_total then Ret (v "total")
-           else Ret (v "total" + (v "accepted" <<< i 20)));
+          Ret (v "total" + (v "accepted" <<< i 20));
         ];
     }
   in
@@ -127,6 +114,3 @@ let make_program ?(raw_total = false) ~queues ~slots ~quantum ~packets () =
       ];
     funcs = [ enqueue_fn; serve_fn; main_fn ];
   }
-
-let program =
-  make_program ~queues:queue_count ~slots:slots_per_queue ~quantum ~packets ()

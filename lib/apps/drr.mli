@@ -12,20 +12,3 @@
 val program : Minic.Ast.program
 (** The paper's Benchmark II instance: 256 queues x 16 slots,
     quantum 400, 3072 packets. *)
-
-val make_program :
-  ?raw_total:bool ->
-  queues:int ->
-  slots:int ->
-  quantum:int ->
-  packets:int ->
-  unit ->
-  Minic.Ast.program
-(** Parameterized generator behind {!program}; [queues] and [slots]
-    must be powers of two.  With [raw_total] the checksum is just the
-    serviced byte count (used by the scheduler-tuning domain to compute
-    cycles per serviced byte).
-    @raise Invalid_argument on non-power-of-two geometry. *)
-
-val queue_count : int
-val slots_per_queue : int

@@ -762,53 +762,6 @@ module Make (T : Target.S) = struct
             c.Cost.resources.Synth.Resource.brams,
             c.Cost.resources.Synth.Resource.luts ))
         points
-
-    (** [sweep] + [best_runtime] with the engine's bounds-admission
-        gate: the candidate with the smallest static worst case is
-        simulated first, and its actual runtime prunes every candidate
-        whose static best case is already slower.  Pruned points have
-        [seconds >= lo > incumbent.seconds >= min seconds], so they can
-        neither win nor tie the lexicographic argmin: the selected
-        point is byte-identical to a full sweep's, with fewer
-        simulations.
-        @raise Not_found if no candidate is feasible. *)
-    let best_runtime_search app configs =
-      match T.probe.Target.static_bounds with
-      | None -> best_runtime (sweep app configs)
-      | Some bounds_of -> (
-          let engine = Engine.default () in
-          ignore (Lazy.force app.Apps.Registry.program);
-          let cands = List.filter T.feasible configs in
-          match cands with
-          | [] -> raise Not_found
-          | first :: rest ->
-              let static_hi config = snd (bounds_of app config) in
-              let seed, _ =
-                List.fold_left
-                  (fun (bc, bh) c ->
-                    let h = static_hi c in
-                    if h < bh then (c, h) else (bc, bh))
-                  (first, static_hi first)
-                  rest
-              in
-              let incumbent = Engine.eval_on engine T.probe app seed in
-              let cutoff (_ : Synth.Resource.t) = incumbent.Cost.seconds in
-              let points =
-                List.map
-                  (fun config ->
-                    if T.equal config seed then
-                      { config; cost = Some incumbent }
-                    else
-                      match
-                        Engine.eval_bounded_on engine ~cutoff T.probe app
-                          config
-                      with
-                      | Engine.Evaluated cost -> { config; cost = Some cost }
-                      | Engine.Infeasible | Engine.Pruned _ ->
-                          { config; cost = None })
-                  cands
-              in
-              best_runtime points)
   end
 
   (** The heuristic DSE baselines the paper positions against (Fischer

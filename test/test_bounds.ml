@@ -1,7 +1,7 @@
 (* Tests for the static cycle-bound analysis: instruction-mix
    exactness on straight-line code, trip-count formulas, pricing
-   sanity, and the bounds-gated exhaustive search returning exactly
-   what a full sweep returns while simulating less. *)
+   sanity, and the engine's bounds gate picking exactly what a full
+   sweep picks while simulating less. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -166,9 +166,14 @@ let test_tightness () =
     "unbounded" None
     (Dse.Bounds.tightness ~lo:3.0 ~hi:infinity)
 
-(* --- bounds-gated exhaustive search --- *)
+(* --- bounds-gated search --- *)
 
-let test_best_runtime_search_identity () =
+(* The engine's admission gate against a full sweep: with the fastest
+   simulated runtime as the cutoff, a pruned configuration's static
+   lower bound exceeds the cutoff and is no more than its simulated
+   runtime, so it could neither win nor tie, and the fastest admitted
+   configuration is the sweep's pick. *)
+let test_gated_search_identity () =
   let app = Apps.Registry.arith in
   let with_mul m =
     { Arch.Config.base with
@@ -186,20 +191,40 @@ let test_best_runtime_search_identity () =
         Arch.Config.Mul_32x32;
       ]
   in
-  let plain = Leon2.Exhaustive.best_runtime (Leon2.Exhaustive.sweep app configs) in
-  let before = Obs.Metrics.Counter.value Dse.Bounds.m_pruned in
-  let searched = Leon2.Exhaustive.best_runtime_search app configs in
-  let after = Obs.Metrics.Counter.value Dse.Bounds.m_pruned in
+  let swept = Leon2.Exhaustive.sweep app configs in
+  let plain = Leon2.Exhaustive.best_runtime swept in
+  let seconds (p : Leon2.Exhaustive.point) =
+    match p.Leon2.Exhaustive.cost with
+    | Some c -> c.Dse.Cost.seconds
+    | None -> Alcotest.fail "every multiplier variant fits the device"
+  in
+  let cutoff = seconds plain in
+  let engine = Dse.Engine.create () in
+  let gated =
+    List.map
+      (fun (p : Leon2.Exhaustive.point) ->
+        let config = p.Leon2.Exhaustive.config in
+        match
+          Dse.Engine.eval_bounded_on
+            ~cutoff:(fun _ -> cutoff)
+            engine Dse.Target_leon2.probe app config
+        with
+        | Dse.Engine.Pruned (lo, _) ->
+            check_bool "pruned only above the cutoff" true (lo > cutoff);
+            check_bool "lower bound within the simulated runtime" true
+              (seconds p >= lo);
+            { Leon2.Exhaustive.config; cost = None }
+        | Dse.Engine.Evaluated cost -> { Leon2.Exhaustive.config; cost = Some cost }
+        | Dse.Engine.Infeasible -> Alcotest.fail "unexpectedly infeasible")
+      swept
+  in
+  check_bool "the gate pruned a dominated configuration" true
+    (List.exists (fun p -> p.Leon2.Exhaustive.cost = None) gated);
+  let searched = Leon2.Exhaustive.best_runtime gated in
   check_bool "same winning configuration" true
     (Dse.Target_leon2.to_string plain.Leon2.Exhaustive.config
     = Dse.Target_leon2.to_string searched.Leon2.Exhaustive.config);
-  (match (plain.Leon2.Exhaustive.cost, searched.Leon2.Exhaustive.cost) with
-  | Some a, Some b ->
-      Alcotest.(check (float 0.0))
-        "same runtime" a.Dse.Cost.seconds b.Dse.Cost.seconds
-  | _ -> Alcotest.fail "both searches must cost the winner");
-  check_bool "the gated search pruned dominated candidates" true
-    (after > before)
+  Alcotest.(check (float 0.0)) "same runtime" cutoff (seconds searched)
 
 let () =
   Alcotest.run "bounds"
@@ -225,6 +250,6 @@ let () =
       ( "exhaustive",
         [
           Alcotest.test_case "gated search identity" `Quick
-            test_best_runtime_search_identity;
+            test_gated_search_identity;
         ] );
     ]

@@ -1,5 +1,5 @@
-(* Tests for the extension layer: heuristic baselines, the convex
-   recast, the energy model, ablations and the figure report drivers. *)
+(* Tests for the extension layer: heuristic baselines, the energy
+   model, ablations and the figure report drivers. *)
 
 module Leon2 = Dse.Leon2.S
 
@@ -120,20 +120,6 @@ let test_static_pruning_preserves_trajectory () =
   check_int "candidates considered add up"
     (plain.Leon2.Heuristic.builds + plain.Leon2.Heuristic.pruned)
     (pruned.Leon2.Heuristic.builds + pruned.Leon2.Heuristic.pruned)
-
-(* --- Convex recast --- *)
-
-let test_convex_study_runs () =
-  let model =
-    Leon2.Measure.build ~dims:Arch.Param.dcache_size_dims Apps.Registry.arith
-  in
-  let s = Dse.Convex.run ~weights:Dse.Cost.runtime_weights model in
-  check_bool "recast decodes to a valid config" true
-    (Arch.Config.is_valid s.Dse.Convex.recast_config);
-  check_bool "positive LP node count" true (s.Dse.Convex.milp_nodes > 0);
-  (* On the dcache-only model for arith (no attractive products), both
-     solvers settle on configurations of equal objective value. *)
-  ignore s.Dse.Convex.agrees
 
 (* --- Energy --- *)
 
@@ -322,39 +308,6 @@ let test_parallel_build_identical () =
         (compare r.Leon2.Measure.cost (serial r.Leon2.Measure.config) = 0))
     model.Leon2.Measure.rows
 
-(* --- Generic domain: scheduler tuning --- *)
-
-let test_sched_state_bytes () =
-  check_int "base state" 19456
-    (Dse.Sched_tuning.state_bytes Dse.Sched_tuning.base);
-  check_int "small geometry" ((64 * 8 * 4) + (3 * 64 * 4))
-    (Dse.Sched_tuning.state_bytes { Dse.Sched_tuning.queues = 64; slots = 8; quantum = 400 })
-
-let test_sched_measure_dimensions () =
-  let m = Dse.Sched_tuning.measure Dse.Sched_tuning.base in
-  check_int "two dimensions" 2 (Array.length m);
-  check_bool "positive efficiency cost" true (m.(0) > 0.0);
-  check_bool "state matches formula" true
-    (m.(1) = float_of_int (Dse.Sched_tuning.state_bytes Dse.Sched_tuning.base))
-
-let test_sched_budget_enforced () =
-  (* Whatever the weights, the 12 KB state budget must hold. *)
-  List.iter
-    (fun weights ->
-      let o = Dse.Sched_tuning.Tuner.optimize ~weights in
-      check_bool "under budget" true
-        (Dse.Sched_tuning.state_bytes o.Dse.Sched_tuning.Tuner.config <= 12288))
-    [ [| 100.0; 1.0 |]; [| 1.0; 100.0 |] ]
-
-let test_sched_efficiency_improves () =
-  let o = Dse.Sched_tuning.Tuner.optimize ~weights:[| 100.0; 1.0 |] in
-  check_bool "efficiency improved" true (o.Dse.Sched_tuning.Tuner.actual.(0) < 0.0)
-
-let test_generic_weight_validation () =
-  match Dse.Sched_tuning.Tuner.optimize ~weights:[| 1.0 |] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "wrong weight arity must be rejected"
-
 (* --- Report drivers --- *)
 
 let test_fig2_structure () =
@@ -415,8 +368,6 @@ let () =
           Alcotest.test_case "static pruning" `Slow
             test_static_pruning_preserves_trajectory;
         ] );
-      ( "convex",
-        [ Alcotest.test_case "study runs" `Quick test_convex_study_runs ] );
       ( "energy",
         [
           Alcotest.test_case "measure positive" `Quick test_energy_measure_positive;
@@ -444,14 +395,6 @@ let () =
       ( "parallel",
         [
           Alcotest.test_case "identical model" `Quick test_parallel_build_identical;
-        ] );
-      ( "generic",
-        [
-          Alcotest.test_case "state bytes" `Quick test_sched_state_bytes;
-          Alcotest.test_case "measure dims" `Quick test_sched_measure_dimensions;
-          Alcotest.test_case "budget enforced" `Slow test_sched_budget_enforced;
-          Alcotest.test_case "efficiency improves" `Slow test_sched_efficiency_improves;
-          Alcotest.test_case "weight validation" `Quick test_generic_weight_validation;
         ] );
       ( "report",
         [
