@@ -179,7 +179,9 @@ let measurements ~wall_ns ~(before : Obs.Metrics.snapshot)
   [
     ("wall_clock_s", Int64.to_float wall_ns /. 1e9);
     ("sim_cycles", float_of_int (delta "sim.cycles"));
+    ("sim_executed_cycles", float_of_int (delta "sim.executed_cycles"));
     ("sim_runs", float_of_int (delta "sim.runs"));
+    ("sim_replays", float_of_int (delta "sim.replays"));
     ("solver_nodes", float_of_int (delta "binlp.nodes"));
     ("solver_incumbents", float_of_int (delta "binlp.incumbents"));
     ("builds", float_of_int (delta "dse.builds"));

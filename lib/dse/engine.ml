@@ -4,7 +4,7 @@ let m_builds =
 
 let m_priced =
   Obs.Metrics.Counter.v "dse.engine.priced"
-    ~help:"evaluations priced from a simulated representative's event counts"
+    ~help:"evaluations priced from an already claimed recording"
 
 let m_hits =
   Obs.Metrics.Counter.v "dse.engine.hits"
@@ -28,11 +28,11 @@ let h_build_seconds =
    share an encoding (or even a digest) without their measurements ever
    colliding.  Distinct noise amplitudes are distinct keys — their
    measurements differ, and ablation studies must not observe each
-   other's perturbed results. *)
-type key = {
+   other's perturbed results.  Every field but the digest is shared by
+   all of one application's keys: the [scope]. *)
+type scope = {
   target : string;
   app : string;
-  digest : string;
   noise : float option;
   phase : string option;
       (* segmentation digest for per-phase measurements: a segmented
@@ -42,46 +42,85 @@ type key = {
          evaluation also fills (see [obtain]) *)
 }
 
-let key_of ?noise (probe : _ Target.probe) (app : Apps.Registry.t) config =
+type key = { scope : scope; digest : string }
+
+let key_of ?noise ?phase (probe : _ Target.probe) (app : Apps.Registry.t)
+    config =
   {
-    target = probe.Target.target;
-    app = app.Apps.Registry.name;
+    scope =
+      { target = probe.Target.target; app = app.Apps.Registry.name; noise; phase };
     digest = probe.Target.digest config;
-    noise;
-    phase = None;
   }
 
-type value = {
-  cost : Cost.t;
-  profile : Sim.Profiler.t;
-  fits : bool;
-  segments : Sim.Profiler.t list;
-      (* per-phase profile deltas for segmented evaluations; [] for
-         whole-run ones *)
-}
+let pack_profile p =
+  let b = Buffer.create 64 in
+  Sim.Profiler.pack b p;
+  Buffer.contents b
+
+let pack (cost : Cost.t) profile =
+  let b = Buffer.create 96 in
+  Buffer.add_int64_le b (Int64.bits_of_float cost.Cost.seconds);
+  Buffer.add_int32_le b (Int32.of_int cost.Cost.resources.Synth.Resource.luts);
+  Buffer.add_int32_le b (Int32.of_int cost.Cost.resources.Synth.Resource.brams);
+  Sim.Profiler.pack b profile;
+  Buffer.contents b
+
+let cost_of packed =
+  {
+    Cost.seconds = Int64.float_of_bits (String.get_int64_le packed 0);
+    resources =
+      {
+        Synth.Resource.luts = Int32.to_int (String.get_int32_le packed 8);
+        brams = Int32.to_int (String.get_int32_le packed 12);
+      };
+  }
+
+let profile_of packed = Sim.Profiler.unpack packed ~pos:16
 
 (* [Unfit] holds the (noised) resource estimate of a configuration that
    exceeds the device: a feasibility query needs no simulation, but a
    later forced {!eval} upgrades the entry to [Full] by simulating with
-   the saved resources. *)
-type entry = Pending | Unfit of Synth.Resource.t | Full of value
+   the saved resources.  The memo keeps every entry for the engine's
+   lifetime, so a [Full] evaluation is held packed ({!pack}): its
+   seconds, resources and profile counters in one string of about ten
+   words where the records take about thirty, with the packed
+   per-phase profiles of a segmented evaluation ([] for whole-run
+   ones). *)
+type entry =
+  | Pending
+  | Unfit of Synth.Resource.t
+  | Full of { packed : string; fits : bool; segments : string list }
 
-(* One representative's simulation, under the representative's
-   whole-run key without noise (noise never changes a run).  [claimed]
-   is set by the first whole-run miss priced from it, which counts as
-   the build; a run the window walk needed before any miss claimed it
-   is unclaimed until then. *)
-type shape =
-  | Running
-  | Ran of { profile : Sim.Profiler.t; mutable claimed : bool }
+(* One computation run at most once per engine: [Busy] is installed
+   only by the thread about to compute, and a computation never waits,
+   so waiters always wait on a running one.  Waiters hold the cell, so
+   a cell dropped from its table still reaches them; a failed
+   computation leaves [Failed] and its waiters look again. *)
+type 'a cell = { mutable state : 'a state }
+and 'a state = Busy | Done of 'a | Failed
+
+(* One execution class's recording, under the class's key without
+   noise (noise never changes a run) and with the segmentation digest
+   of a segmented evaluation.  [claimed] is set by the first miss
+   priced from it, which counts as the build; a recording the window
+   walk needed before any miss claimed it is unclaimed until then.
+   [replays] holds its cache replays, one per side and geometry. *)
+type recorded = {
+  recording : Sim.Recording.t;
+  mutable claimed : bool;
+  replays : (Sim.Cache.side * Arch.Config.cache, Sim.Recording.replay cell) Hashtbl.t;
+}
 
 type t = {
   mutex : Mutex.t;
   cond : Condition.t;
-      (* signaled whenever an entry leaves [Pending] or a shape leaves
-         [Running] *)
-  table : (key, entry) Hashtbl.t;
-  shapes : (key, shape) Hashtbl.t;
+      (* signaled whenever an entry leaves [Pending] or a cell leaves
+         [Busy] *)
+  table : (scope, (string, entry) Hashtbl.t) Hashtbl.t;
+      (* the memo: per scope, per digest *)
+  recordings : (key, recorded cell) Hashtbl.t;
+      (* only the most recently evaluated application's, and any still
+         being made *)
   pool : Pool.t option;
       (* [None] = the shared pool, resolved lazily at first batch and
          only on machines with real parallelism: on a single-core host
@@ -89,19 +128,39 @@ type t = {
          against the mutator), so batches run inline there. *)
 }
 
+let find t k =
+  Option.bind (Hashtbl.find_opt t.table k.scope) (fun digests ->
+      Hashtbl.find_opt digests k.digest)
+
+let set t k entry =
+  let digests =
+    match Hashtbl.find_opt t.table k.scope with
+    | Some d -> d
+    | None ->
+        let d = Hashtbl.create 16 in
+        Hashtbl.replace t.table k.scope d;
+        d
+  in
+  Hashtbl.replace digests k.digest entry
+
+let remove t k =
+  Option.iter
+    (fun digests -> Hashtbl.remove digests k.digest)
+    (Hashtbl.find_opt t.table k.scope)
+
 let create ?pool () =
   {
     mutex = Mutex.create ();
     cond = Condition.create ();
-    table = Hashtbl.create 256;
-    shapes = Hashtbl.create 256;
+    table = Hashtbl.create 16;
+    recordings = Hashtbl.create 16;
     pool;
   }
 
 let clear t =
   Mutex.lock t.mutex;
   Hashtbl.reset t.table;
-  Hashtbl.reset t.shapes;
+  Hashtbl.reset t.recordings;
   Condition.broadcast t.cond;
   Mutex.unlock t.mutex
 
@@ -142,61 +201,120 @@ let noised_resources ?noise (probe : _ Target.probe) config =
   (resources, fits)
 
 (* Every simulation the engine runs, timed into the build histogram. *)
-let timed f app config =
+let timed f =
   let t0 = Obs.Clock.since_start_ns () in
-  let r = f app config in
+  let r = f () in
   let dt = Int64.sub (Obs.Clock.since_start_ns ()) t0 in
   Obs.Metrics.Histogram.observe h_build_seconds (Int64.to_float dt *. 1e-9);
   r
 
-(* The profile of [rep]'s simulation, run at most once per engine under
-   the same discipline as [obtain]'s [Pending]: [Running] is installed
-   only by the thread about to simulate, and a simulation never waits,
-   so waiters always wait on a running computation.  [~claim] reports
-   whether this call is the first miss priced from the run. *)
-let shape_run t (probe : _ Target.probe) app rep ~claim =
-  let key = key_of probe app rep in
-  Mutex.lock t.mutex;
-  let rec loop () =
-    match Hashtbl.find_opt t.shapes key with
-    | Some (Ran r) ->
-        let first = claim && not r.claimed in
-        if first then r.claimed <- true;
-        Mutex.unlock t.mutex;
-        (r.profile, first)
-    | Some Running ->
-        Condition.wait t.cond t.mutex;
-        loop ()
+(* [key]'s value in [tbl], computed by [compute] at most once (see
+   [cell]).  Called and returns with [t.mutex] held. *)
+let once t tbl key compute =
+  let rec look () =
+    match Hashtbl.find_opt tbl key with
+    | Some cell -> wait cell
     | None -> (
-        Hashtbl.replace t.shapes key Running;
+        let cell = { state = Busy } in
+        Hashtbl.replace tbl key cell;
         Mutex.unlock t.mutex;
-        match timed probe.Target.simulate app rep with
-        | _, profile ->
+        match compute () with
+        | v ->
             Mutex.lock t.mutex;
-            Hashtbl.replace t.shapes key (Ran { profile; claimed = claim });
+            cell.state <- Done v;
             Condition.broadcast t.cond;
-            Mutex.unlock t.mutex;
-            (profile, claim)
+            v
         | exception e ->
             let bt = Printexc.get_raw_backtrace () in
             Mutex.lock t.mutex;
-            Hashtbl.remove t.shapes key;
+            cell.state <- Failed;
+            (match Hashtbl.find_opt tbl key with
+            | Some c when c == cell -> Hashtbl.remove tbl key
+            | Some _ | None -> ());
             Condition.broadcast t.cond;
             Mutex.unlock t.mutex;
             Printexc.raise_with_backtrace e bt)
+  and wait cell =
+    match cell.state with
+    | Done v -> v
+    | Busy ->
+        Condition.wait t.cond t.mutex;
+        wait cell
+    | Failed -> look ()
   in
-  loop ()
+  look ()
 
-(* A whole-run evaluation: price [config] from its representative's
-   run.  The miss that first claims the run is the build; every other
-   is priced.  Returns the journal kind with the result. *)
-let price t (probe : _ Target.probe) app config =
-  let run c = fst (shape_run t probe app c ~claim:false) in
-  let rep = probe.Target.representative ~run config in
-  let profile, built = shape_run t probe app rep ~claim:true in
+(* The recording of class [cls] ([phase]: a segmented one), made by
+   [simulate] inside a capture at most once per engine.  Looking one up
+   drops every finished recording of another application, so the live
+   streams are one application's.  [~claim] reports whether this call
+   is the first miss priced from it. *)
+let recording t (probe : _ Target.probe) app cls ?phase ~simulate ~claim () =
+  let key = key_of ?phase probe app cls in
+  Mutex.lock t.mutex;
+  Hashtbl.filter_map_inplace
+    (fun (k : key) c ->
+      match c.state with
+      | Done _ when k.scope.app <> key.scope.app -> None
+      | Done _ | Busy | Failed -> Some c)
+    t.recordings;
+  let r =
+    once t t.recordings key (fun () ->
+        let _, recording = timed (fun () -> Sim.Recording.capture simulate) in
+        { recording; claimed = false; replays = Hashtbl.create 16 })
+  in
+  let first = claim && not r.claimed in
+  if first then r.claimed <- true;
+  Mutex.unlock t.mutex;
+  (r, first)
+
+let replayed t r side geometry =
+  Mutex.lock t.mutex;
+  let v =
+    once t r.replays (side, geometry) (fun () ->
+        Sim.Recording.replay r.recording side geometry)
+  in
+  Mutex.unlock t.mutex;
+  v
+
+(* An evaluation: [config] priced from its class's recording with its
+   own caches replayed ([segmented]: per segment too).  The miss that
+   first claims the recording is the build; every other is priced.
+   Returns the journal kind with the result. *)
+let evaluate t (probe : _ Target.probe) app config ~segmented =
+  let run c =
+    let r, _ =
+      recording t probe app c ~claim:false
+        ~simulate:(fun () -> probe.Target.simulate app c)
+        ()
+    in
+    Sim.Recording.profile r.recording
+  in
+  let cls = probe.Target.representative ~run config in
+  let phase, simulate =
+    match segmented with
+    | None -> (None, fun () -> ignore (probe.Target.simulate app cls))
+    | Some (phase, f) -> (Some phase, fun () -> f app cls)
+  in
+  let r, built = recording t probe app cls ?phase ~claim:true ~simulate () in
   Obs.Metrics.Counter.incr (if built then m_builds else m_priced);
-  ( probe.Target.price config profile,
-    if built then "engine.build" else "engine.priced" )
+  let icache, dcache = probe.Target.caches config in
+  let parts =
+    Sim.Recording.profiles r.recording
+      ~icache:(replayed t r Sim.Cache.Instruction icache)
+      ~dcache:(replayed t r Sim.Cache.Data dcache)
+  in
+  let seconds, profile =
+    probe.Target.price config
+      (List.fold_left Sim.Profiler.add (Sim.Profiler.create ()) parts)
+  in
+  let segments =
+    match segmented with
+    | None -> []
+    | Some _ ->
+        List.map (fun p -> pack_profile (snd (probe.Target.price config p))) parts
+  in
+  (seconds, profile, segments, if built then "engine.build" else "engine.priced")
 
 (* Journal identification of one candidate: the application plus the
    codec's canonical encoding (stable across runs, unlike digests,
@@ -214,12 +332,7 @@ let journal_fields (probe : _ Target.probe) (app : Apps.Registry.t) config =
    removes its entry and wakes waiters before re-raising, so nobody
    waits on a corpse. *)
 let obtain t ~feasible_only ?segmented ?noise probe app config =
-  let key =
-    {
-      (key_of ?noise probe app config) with
-      phase = Option.map fst segmented;
-    }
-  in
+  let key = key_of ?noise ?phase:(Option.map fst segmented) probe app config in
   let counted = ref false in
   let journal kind extra =
     if Obs.Journal.enabled () then
@@ -236,7 +349,7 @@ let obtain t ~feasible_only ?segmented ?noise probe app config =
     Obs.Metrics.Counter.incr m_misses;
     match
       Obs.Span.with_ ~cat:"dse" "engine.build"
-        ~attrs:[ ("app", Obs.Json.String key.app) ]
+        ~attrs:[ ("app", Obs.Json.String key.scope.app) ]
       @@ fun () ->
       let resources, fits =
         match prior with
@@ -244,34 +357,26 @@ let obtain t ~feasible_only ?segmented ?noise probe app config =
         | None -> noised_resources ?noise probe config
       in
       if feasible_only && not fits then (Unfit resources, "engine.unfit")
-      else begin
-        match segmented with
-        | None ->
-            let (seconds, profile), kind = price t probe app config in
-            ( Full { cost = { Cost.seconds; resources }; profile; fits;
-                     segments = [] },
-              kind )
-        | Some (_, f) ->
-            Obs.Metrics.Counter.incr m_builds;
-            let seconds, profile, segments = timed f app config in
-            ( Full { cost = { Cost.seconds; resources }; profile; fits;
-                     segments },
-              "engine.build" )
-      end
+      else
+        let seconds, profile, segments, kind =
+          evaluate t probe app config ~segmented
+        in
+        ( Full
+            { packed = pack { Cost.seconds; resources } profile; fits; segments },
+          kind )
     with
     | entry, kind ->
         Mutex.lock t.mutex;
-        Hashtbl.replace t.table key entry;
+        set t key entry;
         (* A segmented run's whole-run part is the plain run's result
            bit for bit, so it also fills the configuration's whole-run
            key — unless that key is already built or being built. *)
         (match entry with
-        | Full v when key.phase <> None -> (
-            let whole = { key with phase = None } in
-            match Hashtbl.find_opt t.table whole with
+        | Full v when key.scope.phase <> None -> (
+            let whole = { key with scope = { key.scope with phase = None } } in
+            match find t whole with
             | Some (Full _ | Pending) -> ()
-            | None | Some (Unfit _) ->
-                Hashtbl.replace t.table whole (Full { v with segments = [] }))
+            | None | Some (Unfit _) -> set t whole (Full { v with segments = [] }))
         | Full _ | Unfit _ | Pending -> ());
         Condition.broadcast t.cond;
         Mutex.unlock t.mutex;
@@ -283,14 +388,14 @@ let obtain t ~feasible_only ?segmented ?noise probe app config =
     | exception e ->
         let bt = Printexc.get_raw_backtrace () in
         Mutex.lock t.mutex;
-        Hashtbl.remove t.table key;
+        remove t key;
         Condition.broadcast t.cond;
         Mutex.unlock t.mutex;
         Printexc.raise_with_backtrace e bt
   in
   Mutex.lock t.mutex;
   let rec loop () =
-    match Hashtbl.find_opt t.table key with
+    match find t key with
     | Some (Full _ as e) ->
         Mutex.unlock t.mutex;
         hit e
@@ -299,7 +404,7 @@ let obtain t ~feasible_only ?segmented ?noise probe app config =
         hit e
     | Some (Unfit r) ->
         (* A forced build of a known-unfit configuration. *)
-        Hashtbl.replace t.table key Pending;
+        set t key Pending;
         Mutex.unlock t.mutex;
         compute (Some r)
     | Some Pending ->
@@ -311,7 +416,7 @@ let obtain t ~feasible_only ?segmented ?noise probe app config =
         Condition.wait t.cond t.mutex;
         loop ()
     | None ->
-        Hashtbl.replace t.table key Pending;
+        set t key Pending;
         Mutex.unlock t.mutex;
         compute None
   in
@@ -326,7 +431,7 @@ let obtain t ~feasible_only ?segmented ?noise probe app config =
    instead of leaving it at 0. *)
 let eval_on_uncounted ?noise t probe app config =
   match obtain t ~feasible_only:false ?noise probe app config with
-  | Full v -> v.cost
+  | Full v -> cost_of v.packed
   | Unfit _ | Pending -> assert false
 
 let eval_on ?noise t probe app config =
@@ -335,7 +440,7 @@ let eval_on ?noise t probe app config =
 let eval_profiled_on ?noise t probe app config =
   Pool.run_inline (fun () ->
       match obtain t ~feasible_only:false ?noise probe app config with
-      | Full v -> (v.cost, v.profile)
+      | Full v -> (cost_of v.packed, profile_of v.packed)
       | Unfit _ | Pending -> assert false)
 
 let eval_segments_on_uncounted ?noise t probe ~phase ~segmented app config =
@@ -343,7 +448,8 @@ let eval_segments_on_uncounted ?noise t probe ~phase ~segmented app config =
     obtain t ~feasible_only:false ~segmented:(phase, segmented) ?noise probe
       app config
   with
-  | Full v -> (v.cost, v.segments)
+  | Full v ->
+      (cost_of v.packed, List.map (Sim.Profiler.unpack ~pos:0) v.segments)
   | Unfit _ | Pending -> assert false
 
 let eval_segments_on ?noise t probe ~phase ~segmented app config =
@@ -363,7 +469,7 @@ let eval_feasible_on_uncounted ?noise t (probe : _ Target.probe) app config =
   end
   else
     match obtain t ~feasible_only:true ?noise probe app config with
-    | Full v -> if v.fits then Some v.cost else None
+    | Full v -> if v.fits then Some (cost_of v.packed) else None
     | Unfit _ -> None
     | Pending -> assert false
 
@@ -505,8 +611,7 @@ let eval_all_segments_on ?noise t probe ~phase ~segmented app configs =
       let keyed =
         List.map
           (fun config ->
-            ( { (key_of ?noise probe app config) with phase = Some phase },
-              config ))
+            (key_of ?noise ~phase probe app config, config))
           configs
       in
       batch ~span_name:"engine.eval_all" t keyed

@@ -28,17 +28,25 @@
     {b Targets.}  Every evaluation names its backend by a
     {!Target.probe} (e.g. [Target_leon2.probe]).
 
-    {b Pricing.}  A whole-run miss does not simulate its configuration:
-    it simulates the configuration's representative
-    ([probe.representative]: every price-only field at its base value,
-    a trap-free window count lowered) once per [(target, application,
-    representative)], with the same in-flight discipline as the memo
-    entries, and prices the requested configuration from that run's
-    event counts ([probe.price]) — the representative's own evaluation
-    included, so pricing is the only path.  Which representatives are
-    simulated depends only on the requests.  Pricing is exact, so a
-    priced result is bit-identical to a simulation.  Segmented
-    evaluations simulate their own configuration.
+    {b Recordings and replays.}  A miss does not simulate its
+    configuration.  It names the configuration's execution class
+    ([probe.representative]: both caches and every price-only field at
+    their base values, a trap-free window count lowered), whose run is
+    recorded once per [(target, application, class)]
+    ({!Sim.Recording}, through [probe.simulate]; a segmented
+    evaluation's class is recorded through the caller's segmented
+    function, once per segmentation).  The configuration's own caches
+    ([probe.caches]) are then replayed over that recording, each cache
+    geometry at most once per recording, and the resulting profile is
+    priced ([probe.price]) — per segment too, for a segmented
+    evaluation.  The class's own evaluation goes the same way, so this
+    is the only path.  Recordings and replays follow the same in-flight
+    discipline as the memo entries, so which runs and replays happen
+    depends only on the requests.  Replay and pricing are exact, so
+    every answer is bit-identical to a simulation.  The engine keeps
+    only the most recently evaluated application's recordings (never
+    one being made or waited on).  Memo entries are kept for the
+    engine's lifetime, packed.
 
     {b Deduplication.}  Concurrent requests for an in-flight key wait
     for the winner's result instead of recomputing, and the batch APIs
@@ -52,11 +60,11 @@
     [dse.engine.inflight_dedup] count cache behavior.  Every miss that
     evaluates is a build or priced, so [dse.engine.misses =
     dse.builds + dse.engine.priced] plus the over-capacity [Unfit]
-    answers: [dse.builds] counts the first miss priced from each
-    representative's simulation (and every segmented evaluation),
-    [dse.engine.priced] the others; the journal kinds are
-    [engine.build] and [engine.priced].  Each miss runs under an
-    [engine.build] span. *)
+    answers, segmented evaluations included: [dse.builds] counts the
+    first miss priced from each recording, [dse.engine.priced] the
+    others; the journal kinds are [engine.build] and [engine.priced].
+    [sim.runs] counts the recordings made and [sim.replays] the cache
+    replays.  Each miss runs under an [engine.build] span. *)
 
 type t
 
@@ -73,8 +81,8 @@ val create : ?pool:Pool.t -> unit -> t
     pure stop-the-world overhead. *)
 
 val clear : t -> unit
-(** Drop every cached result and representative simulation (counters
-    are unaffected).  For tests that need a cold engine. *)
+(** Drop every cached result and recording (counters are unaffected).
+    For tests that need a cold engine. *)
 
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Order-preserving map under the engine's pool-selection rule (see
@@ -114,25 +122,24 @@ val eval_all_segments_on :
   t ->
   'c Target.probe ->
   phase:string ->
-  segmented:(Apps.Registry.t -> 'c -> float * Sim.Profiler.t * Sim.Profiler.t list) ->
+  segmented:(Apps.Registry.t -> 'c -> unit) ->
   Apps.Registry.t ->
   'c list ->
   (Cost.t * Sim.Profiler.t list) list
 (** Per-phase measurement of a batch of configurations of one
     application, in input order, with the same deduplication and
-    pooling as {!eval_all_feasible_on}.  The simulation is the
-    caller-supplied [segmented] function returning [(seconds,
-    whole-run profile, per-phase profiles)], and the memo key is
-    extended with [phase] — the segmentation digest (see
-    {!Sim.Phase.digest}) — so two different segmentations never
-    collide.  Each computed segmented evaluation also fills the same
+    pooling as {!eval_all_feasible_on}, returning each cost with its
+    per-phase profiles.  The memo key is extended with [phase] — the
+    segmentation digest (see {!Sim.Phase.digest}) — so two different
+    segmentations never collide.  Each computed segmented evaluation also fills the same
     configuration's whole-run entry with its cost and whole-run
     profile, unless that entry is already built or being built: a
     later {!eval_on} or {!eval_profiled_on} of the configuration is a
-    hit, so one simulation serves both.  [segmented] must therefore be
-    deterministic for the [(phase, configuration)] pair and return
-    the seconds and whole-run profile the probe's [simulate] would
-    (as {!Target.S.run_app_segmented} does). *)
+    hit, so one evaluation serves both.  [segmented app c] is run only
+    on execution classes, inside a recording capture: it must run [c]
+    once, carved at the segmentation's boundaries, through
+    {!Sim.Machine.run_phased} (as {!Target.S.run_app_segmented}
+    does). *)
 
 type admission =
   | Infeasible  (** structurally invalid or exceeds the device *)

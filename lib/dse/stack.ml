@@ -1329,10 +1329,7 @@ module Make (T : Target.S) = struct
         if nphases = 1 then []
         else begin
           let segmented app config =
-            let ph = T.run_app_segmented ~config ~boundaries app in
-            ( Sim.Machine.seconds ph.Sim.Machine.result,
-              ph.Sim.Machine.result.Sim.Machine.profile,
-              ph.Sim.Machine.phase_profiles )
+            ignore (T.run_app_segmented ~config ~boundaries app)
           in
           let configs =
             T.base

@@ -29,18 +29,24 @@ type 'c probe = {
   simulate : Apps.Registry.t -> 'c -> float * Sim.Profiler.t;
       (** cycle-accurate (seconds, profile) of one application run *)
   representative : run:('c -> Sim.Profiler.t) -> 'c -> 'c;
-      (** The configuration whose simulation this one is priced from:
-          every price-only field (one that only {!Sim.Cost_model}'s
-          stall prices read) at its base value, so configurations of
-          one shape share one representative.  A target whose window
-          count can change also lowers it to the smallest count at
-          which [base] takes no window trap, when the configuration's
-          count is at or above it: walking up from the smallest count,
-          [run c] is the profile of simulating [c], a configuration
-          that is its own representative. *)
+      (** The configuration's execution class: the configuration whose
+          run is recorded ({!Sim.Recording}) and replayed for this
+          one.  Both caches and every price-only field (one that only
+          {!Sim.Cost_model}'s stall prices read) are at their base
+          values, so every configuration that executes the same
+          instruction and address stream shares one class.  A target
+          whose window count can change also lowers it to the smallest
+          count at which [base] takes no window trap, when the
+          configuration's count is at or above it: walking up from the
+          smallest count, [run c] is the profile of simulating [c], a
+          configuration that is its own class. *)
+  caches : 'c -> Arch.Config.cache * Arch.Config.cache;
+      (** The icache and dcache the configuration runs, as lowered onto
+          the simulator: the geometries replayed over its class's
+          recording. *)
   price : 'c -> Sim.Profiler.t -> float * Sim.Profiler.t;
-      (** [price c p] is what [simulate] reports for [c], given the
-          profile [p] of [c]'s representative:
+      (** [price c p] is what [simulate] reports for [c], given [p], the
+          profile of [c]'s class with [c]'s own cache misses:
           {!Sim.Cost_model.price} under [c]'s cost table. *)
   static_bounds : (Apps.Registry.t -> 'c -> float * float) option;
       (** sound [best, worst] runtime bounds (seconds, full

@@ -364,34 +364,24 @@ let run_app_phased ~schedule (app : Apps.Registry.t) =
 (* LEON2 has a barrel shifter: shifts are single-cycle. *)
 let cycle_model config = Bounds.of_arch_config config
 
-(* Every integer-unit option but the window count, fast read/write and
-   mult/div inference only set stall prices (or nothing at all), so
-   the representative takes them from [base].  Window traps depend only
-   on the program and the count, so once [base] runs trap-free at some
-   count, every configuration at or above it replays the same events
-   there. *)
+(* The caches and every integer-unit option but the window count, fast
+   read/write and mult/div inference leave the executed stream alone,
+   so the class is [base] at the configuration's window count.  Window
+   traps depend only on the program and the count, so once [base] runs
+   trap-free at some count, every configuration at or above it executes
+   the same stream there. *)
 let representative ~run (c : config) =
-  let b = base in
-  let priced =
-    {
-      c with
-      dcache_fast_read = b.dcache_fast_read;
-      dcache_fast_write = b.dcache_fast_write;
-      infer_mult_div = b.infer_mult_div;
-      iu = { b.iu with reg_windows = c.iu.reg_windows };
-    }
-  in
-  let at n (x : config) = { x with iu = { x.iu with reg_windows = n } } in
+  let at n = { base with iu = { base.iu with reg_windows = n } } in
   let trap_free n =
-    let p = run (at n b) in
+    let p = run (at n) in
     p.Sim.Profiler.window_overflows = 0 && p.Sim.Profiler.window_underflows = 0
   in
   match
     List.find_opt trap_free
       (List.filter (fun n -> n < c.iu.reg_windows) Arch.Config.valid_reg_windows)
   with
-  | Some n -> at n priced
-  | None -> priced
+  | Some n -> at n
+  | None -> at c.iu.reg_windows
 
 let probe =
   {
@@ -407,6 +397,7 @@ let probe =
         let result = Apps.Registry.run ~config app in
         (Sim.Machine.seconds result, result.Sim.Machine.profile));
     representative;
+    caches = (fun (c : config) -> (c.icache, c.dcache));
     price = Target.price_with cycle_model;
     static_bounds =
       Some (fun app config -> Bounds.app_bounds (cycle_model config) app);

@@ -362,15 +362,10 @@ let run_program ?mem_size config prog =
 let cycle_model config =
   Bounds.of_arch_config ~shift_stall:(shift_stall config) (lower config)
 
-(* The barrel shifter, multiplier and divider lower to stall prices
-   only; the window count is pinned, so there is nothing to walk. *)
-let representative ~run:_ (c : config) =
-  {
-    c with
-    Arch.Mb_config.barrel_shifter = base.Arch.Mb_config.barrel_shifter;
-    multiplier = base.Arch.Mb_config.multiplier;
-    divider = base.Arch.Mb_config.divider;
-  }
+(* The caches, barrel shifter, multiplier and divider leave the
+   executed stream alone and the window count is pinned, so every
+   configuration is of [base]'s class. *)
+let representative ~run:_ (_ : config) = base
 
 let probe =
   {
@@ -386,6 +381,10 @@ let probe =
         let result = run_app ~config app in
         (Sim.Machine.seconds result, result.Sim.Machine.profile));
     representative;
+    caches =
+      (fun c ->
+        let l = lower c in
+        (l.Arch.Config.icache, l.Arch.Config.dcache));
     price = Target.price_with cycle_model;
     static_bounds =
       Some (fun app config -> Bounds.app_bounds (cycle_model config) app);

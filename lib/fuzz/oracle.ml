@@ -299,18 +299,18 @@ let binlp_exact =
               else true);
     }
 
-(* Explicit multi-worker pools, created lazily so the domains only
-   spawn when this oracle actually runs, and joined at exit.  The host
-   may have a single core — the point is scheduling interleaving, not
-   speed. *)
-let par_pools =
-  lazy
-    (let mk w =
-       let p = Dse.Pool.create ~workers:w () in
-       at_exit (fun () -> Dse.Pool.shutdown p);
-       p
-     in
-     (mk 2, mk 4))
+(* Explicit 2- and 4-worker pools for one trial, joined when it ends:
+   an idle domain left alive takes part in every stop-the-world
+   collection of everything that runs after it.  The host may have a
+   single core — the point is scheduling interleaving, not speed. *)
+let with_par_pools f =
+  let pool2 = Dse.Pool.create ~workers:2 () in
+  let pool4 = Dse.Pool.create ~workers:4 () in
+  Fun.protect
+    ~finally:(fun () ->
+      Dse.Pool.shutdown pool2;
+      Dse.Pool.shutdown pool4)
+    (fun () -> f pool2 pool4)
 
 let binlp_par =
   T
@@ -324,7 +324,7 @@ let binlp_par =
       prop =
         (fun p ->
           let seq = Optim.Binlp.solve ~node_limit:2_000_000 p in
-          let pool2, pool4 = Lazy.force par_pools in
+          with_par_pools @@ fun pool2 pool4 ->
           List.iter
             (fun (label, pool) ->
               let par =
@@ -893,7 +893,7 @@ let phase_determinism =
           let want = Sim.Phase.digest reference in
           if Sim.Phase.digest (detect ()) <> want then
             T2.fail_reportf "repeated detection disagrees";
-          let pool2, pool4 = Lazy.force par_pools in
+          with_par_pools (fun pool2 pool4 ->
           List.iter
             (fun (label, pool) ->
               List.iter
@@ -901,7 +901,7 @@ let phase_determinism =
                   if Sim.Phase.digest d <> want then
                     T2.fail_reportf "detection under %s pool disagrees" label)
                 (Dse.Pool.map pool (fun () -> detect ()) [ (); () ]))
-            [ ("2-worker", pool2); ("4-worker", pool4) ];
+            [ ("2-worker", pool2); ("4-worker", pool4) ]);
           let total = reference.Sim.Phase.total_insns in
           let rec partitions pos = function
             | [] -> T2.fail_reportf "no phases"
@@ -1003,83 +1003,130 @@ let segmented_vs_plain =
           && segmented_matches (module Dse.Target_microblaze) mb ~cuts app);
     }
 
-(* Pricing replaces simulation for configurations that differ only in
-   stall prices, so a priced profile must equal the simulated one field
-   for field: from a random configuration's run to a random price-only
-   perturbation of it (on LEON2 also at a larger window count when the
-   run takes no window trap), and from the perturbation's own
-   representative, as the engine prices it. *)
-let priced_matches (type c) (module T : Dse.Target.S with type config = c)
-    ~(from : c) (target : c) app =
-  let run config = (T.run_app ~config app).Sim.Machine.profile in
-  let simulated = run target in
-  let compare_to what (seconds, priced) =
+(* The engine answers every evaluation from its execution class's
+   recording, with the configuration's caches replayed and its stall
+   prices applied, so each answer must equal the simulation field for
+   field: whole-run and segmented, on a fresh engine.  Returns the
+   simulated profile. *)
+let engine_matches (type c) (module T : Dse.Target.S with type config = c)
+    engine (config : c) ~cuts app =
+  let at = T.to_string config in
+  let same what (engine : Sim.Profiler.t) (simulated : Sim.Profiler.t) =
     List.iter2
-      (fun (field, s) (_, p) ->
-        if s <> p then
-          T2.fail_reportf "%s: priced from %s %s = %d, simulated %d under %s"
-            T.name what field p s (T.to_string target))
+      (fun (field, a) (_, b) ->
+        if a <> b then
+          T2.fail_reportf "%s: %s %s = %d from the engine, %d simulated" T.name
+            what field a b)
+      (Sim.Profiler.to_assoc engine)
       (Sim.Profiler.to_assoc simulated)
-      (Sim.Profiler.to_assoc priced);
-    if seconds <> Sim.Machine.profile_seconds simulated then
-      T2.fail_reportf "%s: priced seconds differ under %s" T.name
-        (T.to_string target)
   in
-  compare_to (T.to_string from) (T.probe.Dse.Target.price target (run from));
-  let rep = T.probe.Dse.Target.representative ~run target in
-  compare_to "the representative"
-    (T.probe.Dse.Target.price target (run rep));
-  true
+  let same_seconds what a b =
+    if Int64.bits_of_float a <> Int64.bits_of_float b then
+      T2.fail_reportf "%s: %s seconds %h from the engine, %h simulated" T.name
+        what a b
+  in
+  let seconds, profile = T.probe.Dse.Target.simulate app config in
+  let cost, priced = Dse.Engine.eval_profiled_on engine T.probe app config in
+  same_seconds at cost.Dse.Cost.seconds seconds;
+  same at priced profile;
+  let insns = profile.Sim.Profiler.instructions / app.Apps.Registry.reps in
+  let boundaries =
+    List.filter
+      (fun b -> b > 0 && b < insns)
+      (List.sort_uniq compare (List.map (fun c -> c * insns / 1000) cuts))
+  in
+  let simulated = T.run_app_segmented ~config ~boundaries app in
+  let seconds = Sim.Machine.seconds simulated.Sim.Machine.result in
+  let whole = simulated.Sim.Machine.result.Sim.Machine.profile in
+  let phases = simulated.Sim.Machine.phase_profiles in
+  let segmented app config =
+    ignore (T.run_app_segmented ~config ~boundaries app)
+  in
+  let phase = String.concat "," (List.map string_of_int boundaries) in
+  let at = Printf.sprintf "%s segmented at [%s]" at phase in
+  (match
+     Dse.Engine.eval_all_segments_on engine T.probe ~phase ~segmented app
+       [ config ]
+   with
+  | [ (cost, segments) ] ->
+      same_seconds at cost.Dse.Cost.seconds seconds;
+      same at
+        (List.fold_left Sim.Profiler.add (Sim.Profiler.create ()) segments)
+        whole;
+      if List.length segments <> List.length phases then
+        T2.fail_reportf "%s: %d segments from the engine, %d simulated" at
+          (List.length segments) (List.length phases);
+      List.iteri
+        (fun k (e, s) -> same (Printf.sprintf "%s phase %d" at k) e s)
+        (List.combine segments phases)
+  | _ -> T2.fail_reportf "%s: one segmented answer expected" at);
+  profile
 
-(* [c] with every price-only field of [prices]: the representative's
-   complement, so the two differ in stall prices alone. *)
-let leon2_reprice (c : Arch.Config.t) ~(prices : Arch.Config.t) =
-  {
-    prices with
-    Arch.Config.icache = c.Arch.Config.icache;
-    dcache = c.Arch.Config.dcache;
-    iu = { prices.Arch.Config.iu with reg_windows = c.Arch.Config.iu.reg_windows };
-  }
+(* [p] entered through a recursion [depth] calls deep that loads,
+   stores and reloads one line of the global array around each call:
+   past the window count the calls spill and fill windows through the
+   dcache between accesses to that line, so the window-trap and MRU
+   rules of a replay are both on the line. *)
+let with_recursion (p : Minic.Ast.program) ~depth =
+  let open Minic.Ast in
+  let slot e = Bin (And, e, Int 15) in
+  let deep =
+    {
+      name = "deep";
+      params = [ "n" ];
+      locals = [ "x"; "y" ];
+      body =
+        [
+          Set ("x", Idx ("arr", slot (Var "n")));
+          If
+            ( Bin (Gt, Var "n", Int 0),
+              [ Set ("y", Call ("deep", [ Bin (Sub, Var "n", Int 1) ])) ],
+              [ Set ("y", Int 0) ] );
+          Set_idx ("arr", slot (Var "n"), Bin (Add, Var "x", Var "y"));
+          Ret (Bin (Add, Var "x", Idx ("arr", slot (Bin (Add, Var "n", Int 1)))));
+        ];
+    }
+  in
+  let enter (f : func) =
+    if String.equal f.name "main" then
+      { f with body = Do (Call ("deep", [ Int depth ])) :: f.body }
+    else f
+  in
+  { p with funcs = deep :: List.map enter p.funcs }
 
-let mb_reprice (c : Arch.Mb_config.t) ~(prices : Arch.Mb_config.t) =
-  {
-    c with
-    Arch.Mb_config.barrel_shifter = prices.Arch.Mb_config.barrel_shifter;
-    multiplier = prices.Arch.Mb_config.multiplier;
-    divider = prices.Arch.Mb_config.divider;
-  }
-
-let priced_vs_simulated =
+(* Up to 11 nested calls trap at 8 windows and never at 16, so the
+   LEON2 class walk takes at most two steps. *)
+let engine_vs_simulated =
   let gen =
     let open QCheck2.Gen in
     let* p = Gen.program in
+    let* depth = int_range 0 11 in
+    let p = with_recursion p ~depth in
     let* leon2 = Gen.config in
-    let* leon2_prices = Gen.config in
     let* mb = Gen.mb_config in
-    let* mb_prices = Gen.mb_config in
     let* reps = int_range 1 3 in
-    let+ larger = int_range 0 16 in
-    (p, (leon2, leon2_prices), (mb, mb_prices), reps, larger)
+    let* larger = int_range 0 16 in
+    let+ cuts = list_size (int_range 0 3) (int_range 1 999) in
+    (p, leon2, mb, reps, larger, cuts)
   in
   T
     {
-      name = "priced-vs-simulated";
+      name = "engine-vs-simulated";
       doc =
-        "a configuration priced from the run of one that differs only in \
-         stall prices (or, trap-free, in a larger window count) equals its \
-         own simulation (LEON2 and MicroBlaze)";
+        "the engine's whole-run and segmented answers, replayed from an \
+         execution class's recording and priced, equal the simulation \
+         (LEON2 and MicroBlaze)";
       gen;
       print =
-        (fun (p, (leon2, leon2_prices), (mb, mb_prices), reps, larger) ->
+        (fun (p, leon2, mb, reps, larger, cuts) ->
           Printf.sprintf
-            "// leon2: %s\n// leon2 prices from: %s\n// microblaze: %s\n\
-             // microblaze prices from: %s\n// reps: %d, larger count index: \
-             %d\n%s"
-            (Gen.print_config leon2) (Gen.print_config leon2_prices)
-            (Gen.print_mb_config mb) (Gen.print_mb_config mb_prices) reps
-            larger (Gen.print_program p));
+            "// leon2: %s\n// microblaze: %s\n// reps: %d, larger count \
+             index: %d, cuts (per mille of the run): [%s]\n%s"
+            (Gen.print_config leon2) (Gen.print_mb_config mb) reps larger
+            (String.concat "; " (List.map string_of_int cuts))
+            (Gen.print_program p));
       prop =
-        (fun (p, (leon2, leon2_prices), (mb, mb_prices), reps, larger) ->
+        (fun (p, leon2, mb, reps, larger, cuts) ->
           checked p;
           let app =
             {
@@ -1091,36 +1138,31 @@ let priced_vs_simulated =
               paper_base_seconds = Float.nan;
             }
           in
-          let repriced = leon2_reprice leon2 ~prices:leon2_prices in
+          let engine = Dse.Engine.create () in
+          let prof =
+            engine_matches (module Dse.Target_leon2) engine leon2 ~cuts app
+          in
           (* the window case: a trap-free run at count w priced for a
              larger count *)
-          let windowed =
-            let prof =
-              (Dse.Target_leon2.run_app ~config:leon2 app).Sim.Machine.profile
-            in
-            let w = leon2.Arch.Config.iu.Arch.Config.reg_windows in
-            match
-              List.filter (fun n -> n > w) Arch.Config.valid_reg_windows
-            with
-            | counts
-              when counts <> []
-                   && prof.Sim.Profiler.window_overflows = 0
-                   && prof.Sim.Profiler.window_underflows = 0 ->
-                let n = List.nth counts (larger mod List.length counts) in
-                {
-                  repriced with
-                  Arch.Config.iu =
-                    { repriced.Arch.Config.iu with Arch.Config.reg_windows = n };
-                }
-            | _ -> repriced
-          in
-          priced_matches (module Dse.Target_leon2) ~from:leon2 repriced app
-          && priced_matches (module Dse.Target_leon2) ~from:leon2 windowed app
-          && priced_matches
-               (module Dse.Target_microblaze)
-               ~from:mb
-               (mb_reprice mb ~prices:mb_prices)
-               app);
+          let w = leon2.Arch.Config.iu.Arch.Config.reg_windows in
+          (match List.filter (fun n -> n > w) Arch.Config.valid_reg_windows with
+          | counts
+            when counts <> []
+                 && prof.Sim.Profiler.window_overflows = 0
+                 && prof.Sim.Profiler.window_underflows = 0 ->
+              let n = List.nth counts (larger mod List.length counts) in
+              ignore
+                (engine_matches (module Dse.Target_leon2) engine
+                   {
+                     leon2 with
+                     Arch.Config.iu =
+                       { leon2.Arch.Config.iu with Arch.Config.reg_windows = n };
+                   }
+                   ~cuts app)
+          | _ -> ());
+          ignore
+            (engine_matches (module Dse.Target_microblaze) engine mb ~cuts app);
+          true);
     }
 
 let all =
@@ -1142,7 +1184,7 @@ let all =
     schedule_dominance;
     phase_determinism;
     segmented_vs_plain;
-    priced_vs_simulated;
+    engine_vs_simulated;
   ]
 
 let find n = List.find_opt (fun o -> name o = n) all

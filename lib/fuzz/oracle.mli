@@ -113,14 +113,17 @@ val segmented_vs_plain : t
     identity behind the engine serving a whole-run evaluation from a
     segmented one. *)
 
-val priced_vs_simulated : t
-(** Random program x random LEON2 and MicroBlaze configurations x a
-    random price-only perturbation of each x 1-3 reps: the
-    perturbation priced ({!Dse.Target.probe}'s [price]) from the
-    configuration's run, and from its own representative's run, equals
-    its simulation field for field; on LEON2 also at a random larger
-    window count when the run takes no window trap — the identity
-    behind the engine pricing instead of simulating. *)
+val engine_vs_simulated : t
+(** Random program x random LEON2 and MicroBlaze configurations (cache
+    geometry and policy, price-only fields, window count) x 1-3 reps x
+    0-3 segment boundaries: on a fresh {!Dse.Engine}, the whole-run
+    answer equals {!Dse.Target.probe}'s [simulate] and the segmented
+    answer equals {!Dse.Target.S.run_app_segmented}, field for field —
+    seconds, the profile and every phase profile.  On LEON2 a
+    configuration at a random larger window count joins when the drawn
+    one runs trap-free.  The identity behind the engine answering every
+    evaluation from a recording of its execution class, replayed
+    through its own caches and priced. *)
 
 val all : t list
 val find : string -> t option

@@ -12,8 +12,7 @@ type t = {
   line_shift : int;
   set_shift : int;
   set_mask : int;
-  tags : int array;     (* set-major: tags.(set * ways + way) *)
-  valid : bool array;
+  tags : int array;     (* set-major: tags.(set * ways + way); -1 = invalid *)
   policy : Replacement.t;
   stats : stats;
 }
@@ -34,42 +33,46 @@ let create ~ways ~way_kb ~line_words ~replacement ~rng =
     set_shift = log2 sets;
     set_mask = sets - 1;
     tags = Array.make (sets * ways) (-1);
-    valid = Array.make (sets * ways) false;
     policy = Replacement.create replacement ~sets ~ways ~rng;
     stats = { reads = 0; read_misses = 0; writes = 0; write_misses = 0 };
   }
 
-let of_config (c : Arch.Config.cache) ~rng =
+type side = Instruction | Data
+
+(* The simulator's caches: each side restarts from its own fixed
+   seed, so a cold cache of a given geometry behaves identically in
+   every run and every replay. *)
+let fresh side (c : Arch.Config.cache) =
+  let seed = match side with Instruction -> 0x1CE | Data -> 0xDCE in
   create ~ways:c.ways ~way_kb:c.way_kb ~line_words:c.line_words
-    ~replacement:c.replacement ~rng
+    ~replacement:c.replacement ~rng:(Rng.create ~seed)
 
 (* Allocation-free probe: the way holding [addr]'s line, or -1.  The
-   set/tag split is recomputed by callers from the same shifts (the
-   simulator's hottest path; a returned tuple here measurably hurts
-   multi-domain runs via minor-GC synchronization). *)
-let find_way t ~set ~tag =
-  let base = set * t.ways in
-  let rec find w =
-    if w = t.ways then -1
-    else if t.valid.(base + w) && t.tags.(base + w) = tag then w
-    else find (w + 1)
-  in
-  find 0
+   set/tag split is recomputed by callers from the same shifts, and the
+   way scans are top-level functions rather than local closures (the
+   simulator's and the replays' hottest path; an allocation here
+   measurably hurts multi-domain runs via minor-GC synchronization).
+   A tag is never negative, so an invalid way (tag -1) never matches. *)
+let rec find_from t base tag w =
+  if w = t.ways then -1
+  else if t.tags.(base + w) = tag then w
+  else find_from t base tag (w + 1)
+
+let find_way t ~set ~tag = find_from t (set * t.ways) tag 0
+
+let rec first_invalid t base w =
+  if w = t.ways then -1
+  else if t.tags.(base + w) < 0 then w
+  else first_invalid t base (w + 1)
 
 let fill t ~set ~tag =
   let base = set * t.ways in
-  let rec first_invalid w =
-    if w = t.ways then None
-    else if not t.valid.(base + w) then Some w
-    else first_invalid (w + 1)
-  in
   let way =
-    match first_invalid 0 with
-    | Some w -> w
-    | None -> Replacement.victim t.policy ~set
+    match first_invalid t base 0 with
+    | -1 -> Replacement.victim t.policy ~set
+    | w -> w
   in
   t.tags.(base + way) <- tag;
-  t.valid.(base + way) <- true;
   Replacement.filled t.policy ~set ~way
 
 let read t addr =
@@ -112,10 +115,10 @@ let reset_stats t =
   t.stats.write_misses <- 0
 
 let clear t =
-  Array.fill t.valid 0 (Array.length t.valid) false;
   Array.fill t.tags 0 (Array.length t.tags) (-1);
   Replacement.reset t.policy;
   reset_stats t
 
 let line_bytes t = t.line_bytes
+let line_shift t = t.line_shift
 let sets t = t.sets

@@ -26,7 +26,13 @@ val create :
   rng:Rng.t ->
   t
 
-val of_config : Arch.Config.cache -> rng:Rng.t -> t
+type side = Instruction | Data
+
+val fresh : side -> Arch.Config.cache -> t
+(** A cold cache of the given geometry with its side's fixed
+    replacement seed: the one constructor of the simulator's caches
+    ({!Cpu.create}, {!Cpu.reconfigure} and {!Recording}'s replays), so
+    a geometry replays exactly as it simulates. *)
 
 val read : t -> int -> bool
 (** [read t addr] probes and updates the cache for a read of [addr];
@@ -41,5 +47,9 @@ val clear : t -> unit
 (** Invalidate all lines and reset replacement state and stats. *)
 
 val line_bytes : t -> int
+
+val line_shift : t -> int
+(** [log2 (line_bytes t)]. *)
+
 val sets : t -> int
 (** Number of line indices per way. *)

@@ -87,7 +87,9 @@ val price : t -> Profiler.t -> Profiler.t
     differs from it only in stall prices ([interlock], [shift_stall],
     [mul_stall], [div_stall], [icc_stall], [decode_extra],
     [jump_extra]), or also in the window count when neither run takes
-    a window trap.  Event counts are [p]'s; [cycles] is re-derived
+    a window trap — or the profile {!Recording.profiles} replays for
+    that configuration's caches, which equals it.  Event counts are
+    [p]'s; [cycles] is re-derived
     class by class from the per-class prices above, [load_interlocks]
     is [load_uses] when [t] interlocks (else 0) and [icc_hold_stalls]
     is [icc_waits] when [t] holds (else 0).  Exact: it equals that

@@ -27,7 +27,12 @@
 
    - Register-window addressing replaces [Isa.Reg.physical]'s
      division with one conditional subtract — exact for r in 8..31
-     and cwp in 0..nwin-1, where cwp*16 + (r-8) < 2*(nwin*16). *)
+     and cwp in 0..nwin-1, where cwp*16 + (r-8) < 2*(nwin*16).
+
+   A machine created with a {!Recording.recorder} runs hooked copies of
+   its fetch-redirecting, load and store handlers that feed the
+   recorder, until {!stop_recording} puts the plain handlers back; a
+   machine without one never pays for the hooks. *)
 
 exception Error of string
 
@@ -63,8 +68,9 @@ type t = {
   mutable istats : Cache.stats;
   mutable dstats : Cache.stats;
   prof : Profiler.t;
-  mutable on_read : int -> unit;
+  mutable recorder : Recording.recorder option;
   mutable handlers : (unit -> unit) array;
+  mutable plain : (unit -> unit) array;  (* [handlers] without recording hooks *)
 }
 
 (* Window-relative register addressing without the division of
@@ -150,6 +156,9 @@ let[@inline] dload_extra t addr =
     end
   end
 
+let count_write_miss t =
+  t.prof.Profiler.dcache_write_misses <- t.prof.Profiler.dcache_write_misses + 1
+
 (* Dcache probe for a store: write-through, no allocate — the cost is
    static, only the replacement state and statistics are updated.  A
    write miss changes no cache state, so [dlast] stays valid. *)
@@ -157,8 +166,7 @@ let[@inline] dstore_probe t addr =
   let line = addr lsr t.dshift in
   if line = t.dlast then t.dstats.Cache.writes <- t.dstats.Cache.writes + 1
   else if Cache.write t.dcache addr then t.dlast <- line
-
-let observe_read t addr = t.on_read addr
+  else count_write_miss t
 
 (* Register-window spill/fill.  The 16 locals+ins of window [w] live in
    the 64-byte save area at that window's %sp, as laid out by the
@@ -168,6 +176,7 @@ let window_sp t w =
   t.regs.(Isa.Reg.physical ~nwindows:t.nwin ~cwp:w Isa.Reg.sp)
 
 let dcache_load_cost t addr =
+  (match t.recorder with Some r -> Recording.fill r addr | None -> ());
   if Cache.read t.dcache addr then t.cm.Cost_model.load_extra
   else begin
     t.prof.Profiler.dcache_read_misses <- t.prof.Profiler.dcache_read_misses + 1;
@@ -175,8 +184,8 @@ let dcache_load_cost t addr =
   end
 
 let dcache_store_cost t addr =
-  let hit = Cache.write t.dcache addr in
-  ignore hit;
+  (match t.recorder with Some r -> Recording.spill r addr | None -> ());
+  if not (Cache.write t.dcache addr) then count_write_miss t;
   t.cm.Cost_model.store_extra
 
 let count_load t = t.prof.Profiler.dcache_reads <- t.prof.Profiler.dcache_reads + 1
@@ -322,7 +331,6 @@ let compile t idx (d : Decode.insn) =
           (rread t rs1 + if rs2 >= 0 then rread t rs2 else imm) land mask32
         in
         count_load t;
-        observe_read t addr;
         let raw =
           match width with
           | Isa.Insn.Byte -> Memory.read_u8 t.mem addr
@@ -473,11 +481,43 @@ let compile t idx (d : Decode.insn) =
         t.halted <- true;
         commit t fall c
 
+(* The recording copy of one handler: redirects of the fetch stream,
+   and the address of every load and store, read before the handler
+   runs (a load may overwrite its own address register). *)
+let hooked t r idx (d : Decode.insn) h =
+  let rs1 = d.Decode.rs1 and rs2 = d.Decode.rs2 and imm = d.Decode.imm in
+  let addr () =
+    (rread t rs1 + if rs2 >= 0 then rread t rs2 else imm) land mask32
+  in
+  match d.Decode.op with
+  | Decode.Load _ ->
+      fun () ->
+        let a = addr () in
+        h ();
+        Recording.load r a
+  | Decode.Store _ ->
+      fun () ->
+        let a = addr () in
+        h ();
+        Recording.store r a
+  | Decode.Branch _ | Decode.Call | Decode.Jmpl ->
+      fun () ->
+        h ();
+        if t.pc <> idx + 1 then Recording.jump r ~from:idx ~target:t.pc
+  | _ -> h
+
+let install t decoded =
+  t.plain <- Array.mapi (compile t) decoded;
+  t.handlers <-
+    (match t.recorder with
+    | None -> t.plain
+    | Some r -> Array.mapi (fun idx h -> hooked t r idx decoded.(idx) h) t.plain)
+
 let log2 n =
   let rec go k = if 1 lsl k >= n then k else go (k + 1) in
   go 0
 
-let create ?(shift_stall = 0) config prog ~mem_size =
+let create ?(shift_stall = 0) ?recorder config prog ~mem_size =
   (match Arch.Config.validate config with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Cpu.create: " ^ msg));
@@ -486,8 +526,8 @@ let create ?(shift_stall = 0) config prog ~mem_size =
     invalid_arg "Cpu.create: memory too small for data image + stack";
   let iu = config.Arch.Config.iu in
   let cm = Cost_model.of_arch_config ~shift_stall config in
-  let icache = Cache.of_config config.Arch.Config.icache ~rng:(Rng.create ~seed:0x1CE) in
-  let dcache = Cache.of_config config.Arch.Config.dcache ~rng:(Rng.create ~seed:0xDCE) in
+  let icache = Cache.fresh Cache.Instruction config.Arch.Config.icache in
+  let dcache = Cache.fresh Cache.Data config.Arch.Config.dcache in
   let t =
     {
       config;
@@ -515,11 +555,12 @@ let create ?(shift_stall = 0) config prog ~mem_size =
       istats = Cache.stats icache;
       dstats = Cache.stats dcache;
       prof = Profiler.create ();
-      on_read = ignore;
+      recorder;
       handlers = [||];
+      plain = [||];
     }
   in
-  t.handlers <- Array.mapi (compile t) (Decode.of_program cm prog);
+  install t (Decode.of_program cm prog);
   Memory.load_image t.mem ~at:Isa.Program.data_base prog.Isa.Program.data;
   let sp = mem_size - 128 in
   t.regs.(Isa.Reg.physical ~nwindows:t.nwin ~cwp:0 Isa.Reg.sp) <- sp;
@@ -558,15 +599,19 @@ let reconfigure ?(shift_stall = 0) ?(keep_caches = false) t config =
     config.Arch.Config.iu.Arch.Config.reg_windows
     <> t.config.Arch.Config.iu.Arch.Config.reg_windows
   then invalid_arg "Cpu.reconfigure: register-window count is not runtime-reconfigurable";
-  let keep old_cfg new_cfg old_cache seed =
+  if Option.is_some t.recorder then
+    invalid_arg "Cpu.reconfigure: a recorded execution cannot be reconfigured";
+  let keep old_cfg new_cfg old_cache side =
     if keep_caches && old_cfg = new_cfg then old_cache
-    else Cache.of_config new_cfg ~rng:(Rng.create ~seed)
+    else Cache.fresh side new_cfg
   in
   let icache =
-    keep t.config.Arch.Config.icache config.Arch.Config.icache t.icache 0x1CE
+    keep t.config.Arch.Config.icache config.Arch.Config.icache t.icache
+      Cache.Instruction
   in
   let dcache =
-    keep t.config.Arch.Config.dcache config.Arch.Config.dcache t.dcache 0xDCE
+    keep t.config.Arch.Config.dcache config.Arch.Config.dcache t.dcache
+      Cache.Data
   in
   t.config <- config;
   t.cm <- Cost_model.of_arch_config ~shift_stall config;
@@ -578,7 +623,7 @@ let reconfigure ?(shift_stall = 0) ?(keep_caches = false) t config =
   t.dshift <- log2 (Cache.line_bytes dcache);
   t.ilast <- -1;
   t.dlast <- -1;
-  t.handlers <- Array.mapi (compile t) (Decode.of_program t.cm t.prog)
+  install t (Decode.of_program t.cm t.prog)
 
 let step_unchecked t =
   if t.halted then false
@@ -628,4 +673,13 @@ let program t = t.prog
 let icache t = t.icache
 let dcache t = t.dcache
 
-let on_data_read t f = t.on_read <- f
+let mark_boundary t =
+  Option.iter (fun r -> Recording.boundary r ~pc:t.pc) t.recorder
+
+let stop_recording t =
+  Option.iter
+    (fun r ->
+      Recording.seal r ~pc:t.pc;
+      t.recorder <- None;
+      t.handlers <- t.plain)
+    t.recorder

@@ -25,12 +25,20 @@ exception Error of string
 (** Raised on malformed execution: bad program counter, division by
     zero, memory faults, or exceeding the step budget. *)
 
-val create : ?shift_stall:int -> Arch.Config.t -> Isa.Program.t -> mem_size:int -> t
+val create :
+  ?shift_stall:int ->
+  ?recorder:Recording.recorder ->
+  Arch.Config.t ->
+  Isa.Program.t ->
+  mem_size:int ->
+  t
 (** Builds a machine, loads the program's data image and points the
     stack pointer at the top of memory.  [shift_stall] (default 0)
     charges that many extra cycles on every shift instruction — cores
     without a barrel shifter (e.g. the MicroBlaze-like target) iterate
-    shifts instead of resolving them in one cycle.
+    shifts instead of resolving them in one cycle.  With [recorder],
+    execution feeds it the reference stream (fetch redirects, loads,
+    stores, window spills and fills) until {!stop_recording}.
     @raise Invalid_argument if the configuration is invalid. *)
 
 val reinit : t -> unit
@@ -48,7 +56,8 @@ val reconfigure :
     partial reconfiguration that leaves that region's block RAM intact;
     any other cache restarts cold with its standard deterministic seed.
     @raise Invalid_argument if [config] is invalid or changes the
-    register-window count, which holds live architectural state. *)
+    register-window count, which holds live architectural state, or
+    if the machine is recording. *)
 
 val step : t -> bool
 (** Execute one instruction; [false] once halted.
@@ -71,10 +80,13 @@ val result : t -> int
 (** Value of %o0 in the current window — by convention the program's
     checksum at [Halt]. *)
 
-val on_data_read : t -> (int -> unit) -> unit
-(** Install an observer called with the byte address of every data read
-    (loads and window-fill reads) — used for address-trace capture,
-    e.g. by {!Stackdist}. *)
+val mark_boundary : t -> unit
+(** Tell the recorder, if any, that a segment boundary falls before the
+    next instruction. *)
+
+val stop_recording : t -> unit
+(** Seal the recorder, if any, at the current pc and go back to the
+    plain handlers. *)
 
 val read_reg : t -> Isa.Reg.t -> int
 val write_reg : t -> Isa.Reg.t -> int -> unit

@@ -13,14 +13,28 @@ let default_mem_size = 1 lsl 20
    shows where simulated cycles went across a whole DSE run. *)
 let m_runs = Obs.Metrics.Counter.v "sim.runs" ~help:"simulated executions"
 
+let m_executed =
+  Obs.Metrics.Counter.v "sim.executed_cycles"
+    ~help:"cycles actually simulated: the cold epoch, plus one warm epoch when reps > 1"
+
 let m_counter name =
   Obs.Metrics.Counter.v ("sim." ^ name) ~help:("profiler " ^ name)
 
-let flush_profile p =
+(* [p] is the reps-scaled profile; [executed] the cycles of the epochs
+   actually run. *)
+let flush_profile p ~executed =
   Obs.Metrics.Counter.incr m_runs;
+  Obs.Metrics.Counter.incr ~by:executed m_executed;
   List.iter
     (fun (name, v) -> Obs.Metrics.Counter.incr ~by:v (m_counter name))
     (Profiler.to_assoc p)
+
+(* A run inside {!Recording.capture} records its cold epoch and hands
+   the stream over with the profiles of both epochs. *)
+let deposit recorder ~reps ~profile ~cold ~warm =
+  Option.iter
+    (fun r -> Recording.deposit r ~reps ~profile ~cold ~warm)
+    recorder
 
 let run_once ?(mem_size = default_mem_size) config prog =
   let cpu = Cpu.create config prog ~mem_size in
@@ -34,17 +48,20 @@ let cycles_attr (p : Profiler.t) =
   ]
 
 let run ?(mem_size = default_mem_size) ?(reps = 1) ?shift_stall config prog =
-  let cpu = Cpu.create ?shift_stall config prog ~mem_size in
+  let recorder = Recording.start ~entry:prog.Isa.Program.entry in
+  let cpu = Cpu.create ?shift_stall ?recorder config prog ~mem_size in
   let cold =
     Obs.Span.with_span ~cat:"sim" "sim.cold_epoch" (fun sp ->
         Cpu.run cpu;
+        Cpu.stop_recording cpu;
         let cold = Profiler.copy (Cpu.profile cpu) in
         List.iter (fun (k, v) -> Obs.Span.add_attr sp k v) (cycles_attr cold);
         cold)
   in
   let cold_sum = Cpu.result cpu in
   if reps = 1 then begin
-    flush_profile cold;
+    flush_profile cold ~executed:cold.Profiler.cycles;
+    deposit recorder ~reps ~profile:cold ~cold:[ cold ] ~warm:[];
     {
       profile = cold;
       cold_cycles = cold.Profiler.cycles;
@@ -69,7 +86,9 @@ let run ?(mem_size = default_mem_size) ?(reps = 1) ?shift_stall config prog =
            "Machine.run: non-deterministic application (cold checksum %d, warm %d)"
            cold_sum warm_sum);
     let profile = Profiler.scale_add cold ~warm ~reps in
-    flush_profile profile;
+    flush_profile profile
+      ~executed:(cold.Profiler.cycles + warm.Profiler.cycles);
+    deposit recorder ~reps ~profile ~cold:[ cold ] ~warm:[ warm ];
     {
       profile;
       cold_cycles = cold.Profiler.cycles;
@@ -129,6 +148,7 @@ let phased_epoch cpu ~switches ~keep_caches ~config ~stall =
     (fun sw ->
       Cpu.run_until cpu ~insns:sw.at_insn;
       snaps := Profiler.copy prof :: !snaps;
+      Cpu.mark_boundary cpu;
       if sw.config <> !config || sw.shift_stall <> !stall then begin
         if sw.cycles > 0 then begin
           prof.Profiler.cycles <- prof.Profiler.cycles + sw.cycles;
@@ -158,7 +178,8 @@ let last_exn = function
 let run_phased ?(mem_size = default_mem_size) ?(reps = 1) ?(shift_stall = 0)
     ?(keep_caches = false) ?(wrap_cycles = 0) ~switches config prog =
   check_switches switches;
-  let cpu = Cpu.create ~shift_stall config prog ~mem_size in
+  let recorder = Recording.start ~entry:prog.Isa.Program.entry in
+  let cpu = Cpu.create ~shift_stall ?recorder config prog ~mem_size in
   let cur_config = ref config in
   let cur_stall = ref shift_stall in
   let cold_snaps, cold_charged =
@@ -167,6 +188,7 @@ let run_phased ?(mem_size = default_mem_size) ?(reps = 1) ?(shift_stall = 0)
           phased_epoch cpu ~switches ~keep_caches ~config:cur_config
             ~stall:cur_stall
         in
+        Cpu.stop_recording cpu;
         List.iter
           (fun (k, v) -> Obs.Span.add_attr sp k v)
           (cycles_attr (last_exn snaps));
@@ -175,7 +197,9 @@ let run_phased ?(mem_size = default_mem_size) ?(reps = 1) ?(shift_stall = 0)
   let cold = last_exn cold_snaps in
   let cold_sum = Cpu.result cpu in
   if reps = 1 then begin
-    flush_profile cold;
+    flush_profile cold ~executed:cold.Profiler.cycles;
+    deposit recorder ~reps ~profile:cold ~cold:(snap_deltas cold_snaps)
+      ~warm:[];
     {
       result =
         {
@@ -223,7 +247,10 @@ let run_phased ?(mem_size = default_mem_size) ?(reps = 1) ?(shift_stall = 0)
             %d, warm %d)"
            cold_sum warm_sum);
     let profile = Profiler.scale_add cold ~warm ~reps in
-    flush_profile profile;
+    flush_profile profile
+      ~executed:(cold.Profiler.cycles + warm.Profiler.cycles);
+    deposit recorder ~reps ~profile ~cold:(snap_deltas cold_snaps)
+      ~warm:(snap_deltas warm_snaps);
     {
       result =
         {
@@ -248,13 +275,6 @@ let run_segmented ?mem_size ?reps ?(shift_stall = 0) ~boundaries config prog =
   in
   run_phased ?mem_size ?reps ~shift_stall ~switches config prog
 
-let trace_reads ?(mem_size = default_mem_size) config prog =
-  let cpu = Cpu.create config prog ~mem_size in
-  let buf = Buffer.create (1 lsl 16) in
-  Cpu.on_data_read cpu (fun addr ->
-      Buffer.add_int32_le buf (Int32.of_int addr));
-  Cpu.run cpu;
-  let n = Buffer.length buf / 4 in
-  let bytes = Buffer.to_bytes buf in
-  Array.init n (fun k ->
-      Int32.to_int (Bytes.get_int32_le bytes (4 * k)) land 0xFFFFFFFF)
+let trace_reads ?mem_size config prog =
+  let _, recording = Recording.capture (fun () -> run ?mem_size config prog) in
+  Recording.loads recording

@@ -7,7 +7,13 @@
     [run] therefore simulates one cold execution and one warm
     execution, checks they compute the same result, and reports
     [cold + (reps - 1) * warm] — a faithful model of a long run at a
-    tiny fraction of the simulation cost. *)
+    tiny fraction of the simulation cost.
+
+    Every run flushes its profile into the [sim.*] counters: [sim.runs]
+    counts runs, [sim.cycles] their reps-scaled cycles and
+    [sim.executed_cycles] the cycles actually simulated (the cold
+    epoch, plus the warm one when [reps > 1]).  A run inside
+    {!Recording.capture} also records its cold epoch. *)
 
 type result = {
   profile : Profiler.t;   (** scaled to [reps] executions *)
@@ -103,5 +109,6 @@ val run_once : ?mem_size:int -> Arch.Config.t -> Isa.Program.t -> Cpu.t
 (** Single cold execution, returning the machine for inspection. *)
 
 val trace_reads : ?mem_size:int -> Arch.Config.t -> Isa.Program.t -> int array
-(** One cold execution, returning the byte addresses of all data reads
-    in order — input for {!Stackdist} miss-rate-curve prediction. *)
+(** One recorded cold execution, returning the byte addresses of its
+    program loads in order ({!Recording.loads}) — input for
+    {!Stackdist} miss-rate-curve prediction. *)

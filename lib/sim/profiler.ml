@@ -119,6 +119,73 @@ let to_assoc t =
     ("icc_waits", t.icc_waits);
   ]
 
+(* Packing: every counter as a zigzag LEB128 varint, in [to_assoc]
+   order — a few bytes each instead of a word. *)
+let pack b t =
+  let rec varint z =
+    if z < 0x80 then Buffer.add_char b (Char.chr z)
+    else begin
+      Buffer.add_char b (Char.chr (z land 0x7F lor 0x80));
+      varint (z lsr 7)
+    end
+  in
+  List.iter (fun (_, v) -> varint ((v lsl 1) lxor (v asr 62))) (to_assoc t)
+
+let unpack s ~pos =
+  let pos = ref pos in
+  let next () =
+    let rec go acc shift =
+      let c = Char.code s.[!pos] in
+      incr pos;
+      let acc = acc lor ((c land 0x7F) lsl shift) in
+      if c < 0x80 then acc else go acc (shift + 7)
+    in
+    let z = go 0 0 in
+    (z lsr 1) lxor -(z land 1)
+  in
+  (* one binding per field: record fields are evaluated in no fixed
+     order *)
+  let cycles = next () in
+  let instructions = next () in
+  let icache_misses = next () in
+  let dcache_reads = next () in
+  let dcache_read_misses = next () in
+  let dcache_writes = next () in
+  let dcache_write_misses = next () in
+  let branches = next () in
+  let taken_branches = next () in
+  let mults = next () in
+  let divs = next () in
+  let window_overflows = next () in
+  let window_underflows = next () in
+  let load_interlocks = next () in
+  let icc_hold_stalls = next () in
+  let shifts = next () in
+  let jumps = next () in
+  let load_uses = next () in
+  let icc_waits = next () in
+  {
+    cycles;
+    instructions;
+    icache_misses;
+    dcache_reads;
+    dcache_read_misses;
+    dcache_writes;
+    dcache_write_misses;
+    branches;
+    taken_branches;
+    mults;
+    divs;
+    window_overflows;
+    window_underflows;
+    load_interlocks;
+    icc_hold_stalls;
+    shifts;
+    jumps;
+    load_uses;
+    icc_waits;
+  }
+
 let to_json t =
   Obs.Json.Obj (List.map (fun (k, v) -> (k, Obs.Json.Int v)) (to_assoc t))
 

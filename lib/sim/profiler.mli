@@ -54,6 +54,15 @@ val scale_add : t -> warm:t -> reps:int -> t
 val to_assoc : t -> (string * int) list
 (** Every counter as a [(name, value)] row, in declaration order. *)
 
+val pack : Buffer.t -> t -> unit
+(** Append a compact encoding of every counter (a varint each, a few
+    bytes instead of a word): how long-lived stores hold profiles. *)
+
+val unpack : string -> pos:int -> t
+(** The profile {!pack} encoded at [pos]; [unpack s ~pos] after
+    appending [p] at [pos] of [s] equals [p].
+    @raise Invalid_argument if [s] ends first. *)
+
 val to_json : t -> Obs.Json.t
 
 val invariants : t -> (string * bool) list

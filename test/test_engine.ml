@@ -1,6 +1,7 @@
 (* The shared evaluation engine: memoization bit-identity, batch
    evaluation vs the serial reference, in-flight/batch deduplication
-   accounting, segmented evaluations filling whole-run entries, and the
+   accounting, segmented evaluations filling whole-run entries, pricing
+   and cache replays from recorded execution classes, and the
    persistent work-stealing pool. *)
 
 let check_int = Alcotest.(check int)
@@ -203,8 +204,8 @@ let test_eval_all_dedups_batch () =
   check_int "four deduplicated" 4
     (delta before after "dse.engine.inflight_dedup")
 
-(* --- The fig2 sweep accounting (ISSUE: exactly the deduplicated
-   number of builds) --- *)
+(* --- The fig2 sweep accounting: every feasible point is evaluated
+   exactly once, all of them from one recording of blastn --- *)
 
 let test_fig2_sweep_build_count () =
   let app = Apps.Registry.blastn in
@@ -219,8 +220,11 @@ let test_fig2_sweep_build_count () =
   in
   check_int "28 geometry points" 28 (List.length points);
   check_int "19 feasible points" 19 feasible;
-  check_int "builds = feasible points exactly" feasible
+  check_int "one build: the first point claims the recording" 1
     (delta before mid "dse.builds");
+  check_int "builds + priced = feasible points exactly" feasible
+    (delta before mid "dse.builds" + delta before mid "dse.engine.priced");
+  check_int "one simulation" 1 (delta before mid "sim.runs");
   check_int "every point computed once" 28 (delta before mid "dse.engine.misses");
   (* The same sweep again is pure cache. *)
   let again = Dse.Leon2.S.Exhaustive.geometry_sweep app in
@@ -236,12 +240,7 @@ let test_fig2_sweep_build_count () =
 let seg_phase = "test:500"
 
 let segmented app config =
-  let ph =
-    Dse.Target_leon2.run_app_segmented ~config ~boundaries:[ 500 ] app
-  in
-  ( Sim.Machine.seconds ph.Sim.Machine.result,
-    ph.Sim.Machine.result.Sim.Machine.profile,
-    ph.Sim.Machine.phase_profiles )
+  ignore (Dse.Target_leon2.run_app_segmented ~config ~boundaries:[ 500 ] app)
 
 let test_segments_serve_whole_run () =
   let app = Apps.Registry.arith in
@@ -285,13 +284,18 @@ let test_segments_serve_whole_run () =
     (List.combine lookups (List.combine profiled costs))
 
 let test_segments_keep_whole_run () =
-  (* A segmented function whose seconds are doubled makes the filled
+  (* Segmented evaluations priced at doubled seconds make the filled
      entry distinguishable: it must land only where the whole-run
      entry is absent or [Unfit], never over a built one. *)
   let app = Apps.Registry.arith in
-  let doubled app config =
-    let seconds, profile, phases = segmented app config in
-    (2.0 *. seconds, profile, phases)
+  let doubled =
+    {
+      probe with
+      Dse.Target.price =
+        (fun c p ->
+          let seconds, profile = probe.Dse.Target.price c p in
+          (2.0 *. seconds, profile));
+    }
   in
   let built = config_of_seed 4 and absent = config_of_seed 5 in
   let unfit =
@@ -309,8 +313,8 @@ let test_segments_keep_whole_run () =
   check_bool "unfit query is None" true
     (Dse.Engine.eval_feasible_on e probe app unfit = None);
   ignore
-    (Dse.Engine.eval_all_segments_on e probe ~phase:seg_phase
-       ~segmented:doubled app [ built; absent; unfit ]);
+    (Dse.Engine.eval_all_segments_on e doubled ~phase:seg_phase ~segmented
+       app [ built; absent; unfit ]);
   let before = Obs.Metrics.snapshot () in
   let built' = Dse.Engine.eval_on e probe app built in
   let absent' = Dse.Engine.eval_on e probe app absent in
@@ -423,17 +427,13 @@ let test_misses_are_builds_or_priced () =
       check_bool "both kinds present" true (builds > 0 && priced > 0);
       check_int "misses = builds + priced" misses (builds + priced))
 
-(* The representatives a build simulates depend only on the requests:
-   one model build of qsort (base first, then every row on the pool,
-   as [Measure.build] does) on 1 and 2 workers does the same work. *)
-let test_build_work_independent_of_workers () =
-  let app = Apps.Extra.qsort in
-  let rows =
-    List.map
-      (fun (v : Arch.Param.var) ->
-        v.Arch.Param.apply (Dse.Target_leon2.reference_config v))
-      Arch.Param.all
-  in
+(* One model build of [app] on a fresh engine over a [workers]-worker
+   pool — base first, then every row on the pool, as [Measure.build]
+   does — returning its costs and the deltas of [counters]; the same
+   build on 1 and 2 workers must give equal costs and counts. *)
+let build_work (type c) (module T : Dse.Target.S with type config = c) app
+    counters =
+  let rows = List.map (fun v -> v.T.apply (T.reference_config v)) T.vars in
   let work workers =
     let pool = Dse.Pool.create ~workers () in
     Fun.protect
@@ -441,21 +441,27 @@ let test_build_work_independent_of_workers () =
       (fun () ->
         let e = Dse.Engine.create ~pool () in
         let before = Obs.Metrics.snapshot () in
-        let base = Dse.Engine.eval_on e probe app Arch.Config.base in
-        let costs = Dse.Engine.map e (Dse.Engine.eval_on e probe app) rows in
+        let base = Dse.Engine.eval_on e T.probe app T.base in
+        let costs = Dse.Engine.map e (Dse.Engine.eval_on e T.probe app) rows in
         let after = Obs.Metrics.snapshot () in
-        ( base :: costs,
-          List.map (delta before after) [ "sim.runs"; "dse.builds"; "sim.cycles" ]
-        ))
+        (base :: costs, List.map (delta before after) counters))
   in
   let costs1, work1 = work 1 and costs2, work2 = work 2 in
-  check_bool "same costs" true (compare costs1 costs2 = 0);
+  check_bool (T.name ^ ": same costs") true (compare costs1 costs2 = 0);
   List.iter2
-    (fun name (w1, w2) -> check_int (name ^ " on 1 and 2 workers") w1 w2)
-    [ "sim.runs"; "dse.builds"; "sim.cycles" ]
-    (List.combine work1 work2);
-  check_bool "some rows priced" true
-    (List.nth work1 0 < List.length rows + 1)
+    (fun name (w1, w2) ->
+      check_int (Printf.sprintf "%s: %s on 1 and 2 workers" T.name name) w1 w2)
+    counters (List.combine work1 work2);
+  (List.length rows, work1)
+
+(* The classes a build records depend only on the requests, on qsort,
+   whose window traps make the class walk the window counts. *)
+let test_build_work_independent_of_workers () =
+  let rows, work =
+    build_work (module Dse.Target_leon2) Apps.Extra.qsort
+      [ "sim.runs"; "dse.builds"; "sim.cycles" ]
+  in
+  check_bool "some rows priced" true (List.nth work 0 < rows + 1)
 
 (* Representatives are engine state: [clear] forgets them, and they are
    keyed by target name like every other entry. *)
@@ -479,6 +485,107 @@ let test_representatives_cleared_and_per_target () =
   check_int "alpha simulates its base" 1 (runs (eval alpha Arch.Config.base));
   check_int "beta shares no representative with alpha" 1
     (runs (eval beta perturbed))
+
+(* --- Replay --- *)
+
+(* Every single-cache perturbation: each cache variable applied to its
+   reference configuration (base, or a plain 2-way cache for a
+   replacement policy), as a model build measures it. *)
+let leon2_cache_rows =
+  List.filter_map
+    (fun (v : Arch.Param.var) ->
+      match v.Arch.Param.group with
+      | Arch.Param.Icache_ways | Arch.Param.Icache_way_kb
+      | Arch.Param.Icache_line | Arch.Param.Icache_repl
+      | Arch.Param.Dcache_ways | Arch.Param.Dcache_way_kb
+      | Arch.Param.Dcache_line | Arch.Param.Dcache_repl ->
+          Some (v.Arch.Param.apply (Dse.Target_leon2.reference_config v))
+      | _ -> None)
+    Arch.Param.all
+
+let mb_cache_rows =
+  List.filter_map
+    (fun (v : Arch.Mb_param.var) ->
+      match v.Arch.Mb_param.group with
+      | Arch.Mb_param.Icache_way_kb | Arch.Mb_param.Icache_line
+      | Arch.Mb_param.Dcache_ways | Arch.Mb_param.Dcache_way_kb
+      | Arch.Mb_param.Dcache_line | Arch.Mb_param.Dcache_repl ->
+          Some
+            (v.Arch.Mb_param.apply (Dse.Target_microblaze.reference_config v))
+      | _ -> None)
+    Arch.Mb_param.all
+
+(* Base, then every single-cache perturbation, on a fresh engine: one
+   recording per target, and every answer equal to a direct
+   simulation. *)
+let replayed_like_simulated (type c) (probe : c Dse.Target.probe) base
+    (perturbations : c list) =
+  let app = Apps.Registry.arith in
+  let e = Dse.Engine.create () in
+  let before = Obs.Metrics.snapshot () in
+  let evaluated =
+    List.map (Dse.Engine.eval_profiled_on e probe app) (base :: perturbations)
+  in
+  let after = Obs.Metrics.snapshot () in
+  let name = probe.Dse.Target.target in
+  check_int (name ^ ": one simulation") 1 (delta before after "sim.runs");
+  check_int (name ^ ": one build") 1 (delta before after "dse.builds");
+  check_int (name ^ ": every perturbation priced") (List.length perturbations)
+    (delta before after "dse.engine.priced");
+  List.iteri
+    (fun i (config, (cost, profile)) ->
+      let seconds, simulated = probe.Dse.Target.simulate app config in
+      check_bool (Printf.sprintf "%s config %d: seconds = direct simulation" name i)
+        true
+        (Int64.bits_of_float cost.Dse.Cost.seconds = Int64.bits_of_float seconds);
+      check_bool (Printf.sprintf "%s config %d: profile = direct simulation" name i)
+        true
+        (compare profile simulated = 0))
+    (List.combine (base :: perturbations) evaluated)
+
+let test_cache_shapes_replayed () =
+  check_bool "LEON2 has cache perturbations" true
+    (List.length leon2_cache_rows > 15);
+  check_bool "MicroBlaze has cache perturbations" true
+    (List.length mb_cache_rows > 10);
+  replayed_like_simulated probe Arch.Config.base leon2_cache_rows;
+  replayed_like_simulated Dse.Target_microblaze.probe Arch.Mb_config.base
+    mb_cache_rows
+
+(* The engine keeps one application's recordings: a second
+   application's evaluation drops the first's, and the first, evaluated
+   again, is recorded exactly once more. *)
+let test_recordings_retained_per_app () =
+  let e = Dse.Engine.create () in
+  let runs f =
+    let before = Obs.Metrics.snapshot () in
+    f ();
+    delta before (Obs.Metrics.snapshot ()) "sim.runs"
+  in
+  let eval app c () = ignore (Dse.Engine.eval_on e probe app c) in
+  let arith = Apps.Registry.arith and drr = Apps.Registry.drr in
+  let c1 = config_of_seed 1 and c2 = config_of_seed 2 and c3 = config_of_seed 3 in
+  check_int "arith is recorded" 1 (runs (eval arith Arch.Config.base));
+  check_int "arith replays" 0 (runs (eval arith c1));
+  check_int "drr is recorded" 1 (runs (eval drr Arch.Config.base));
+  check_int "drr replays" 0 (runs (eval drr c1));
+  check_int "arith is recorded once more" 1 (runs (eval arith c2));
+  check_int "and replays again" 0 (runs (eval arith c3))
+
+(* Which recordings and replays a build makes depends only on the
+   requests: every row's replays are made once, whichever worker asks
+   first. *)
+let test_replay_work_independent_of_workers () =
+  let counters =
+    [ "sim.runs"; "dse.builds"; "dse.engine.priced"; "sim.replays" ]
+  in
+  let check_build (type c) (module T : Dse.Target.S with type config = c) =
+    let _, work = build_work (module T) Apps.Registry.drr counters in
+    check_int (T.name ^ ": one recording") 1 (List.nth work 0);
+    check_bool (T.name ^ ": rows replayed") true (List.nth work 3 > 2)
+  in
+  check_build (module Dse.Target_leon2);
+  check_build (module Dse.Target_microblaze)
 
 (* --- Pool --- *)
 
@@ -630,6 +737,15 @@ let () =
             test_build_work_independent_of_workers;
           Alcotest.test_case "representatives cleared and per target" `Quick
             test_representatives_cleared_and_per_target;
+        ] );
+      ( "replay",
+        [
+          Alcotest.test_case "cache shapes replay one recording" `Quick
+            test_cache_shapes_replayed;
+          Alcotest.test_case "recordings kept for one application" `Quick
+            test_recordings_retained_per_app;
+          Alcotest.test_case "replay work independent of workers" `Quick
+            test_replay_work_independent_of_workers;
         ] );
       ( "pool",
         [

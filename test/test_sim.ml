@@ -276,6 +276,89 @@ let test_trace_capture () =
     [| buf; buf + 4; buf + 8; buf + 12 |]
     trace
 
+(* --- Recording and replay --- *)
+
+(* qsort recurses past 8 windows, so its stream carries window spills
+   and fills besides loads and stores. *)
+let qsort = Lazy.force Apps.Extra.qsort.Apps.Registry.program
+
+let recorded ~reps ~boundaries config =
+  Sim.Recording.capture (fun () ->
+      Sim.Machine.run_segmented ~reps ~boundaries config qsort)
+
+let replayed recording (config : Arch.Config.t) =
+  Sim.Recording.profiles recording
+    ~icache:
+      (Sim.Recording.replay recording Sim.Cache.Instruction
+         config.Arch.Config.icache)
+    ~dcache:
+      (Sim.Recording.replay recording Sim.Cache.Data config.Arch.Config.dcache)
+
+(* A packed profile unpacks to itself, at any offset, whatever its
+   counters (negative ones included). *)
+let test_profile_pack_roundtrip =
+  QCheck.Test.make ~count:200 ~name:"profile pack/unpack roundtrip"
+    QCheck.(pair (list_of_size (Gen.return 19) int) (int_bound 7))
+    (fun (values, offset) ->
+      let p = Sim.Profiler.create () in
+      List.iteri
+        (fun i v ->
+          let v = v asr 2 in
+          match i with
+          | 0 -> p.Sim.Profiler.cycles <- v
+          | 1 -> p.Sim.Profiler.instructions <- v
+          | 2 -> p.Sim.Profiler.icache_misses <- v
+          | 3 -> p.Sim.Profiler.dcache_reads <- v
+          | 4 -> p.Sim.Profiler.dcache_read_misses <- v
+          | 5 -> p.Sim.Profiler.dcache_writes <- v
+          | 6 -> p.Sim.Profiler.dcache_write_misses <- v
+          | 7 -> p.Sim.Profiler.branches <- v
+          | 8 -> p.Sim.Profiler.taken_branches <- v
+          | 9 -> p.Sim.Profiler.mults <- v
+          | 10 -> p.Sim.Profiler.divs <- v
+          | 11 -> p.Sim.Profiler.window_overflows <- v
+          | 12 -> p.Sim.Profiler.window_underflows <- v
+          | 13 -> p.Sim.Profiler.load_interlocks <- v
+          | 14 -> p.Sim.Profiler.icc_hold_stalls <- v
+          | 15 -> p.Sim.Profiler.shifts <- v
+          | 16 -> p.Sim.Profiler.jumps <- v
+          | 17 -> p.Sim.Profiler.load_uses <- v
+          | _ -> p.Sim.Profiler.icc_waits <- v)
+        values;
+      let b = Buffer.create 64 in
+      Buffer.add_string b (String.make offset 'x');
+      Sim.Profiler.pack b p;
+      Sim.Profiler.unpack (Buffer.contents b) ~pos:offset = p)
+
+let test_replay_own_caches () =
+  let ph, recording = recorded ~reps:3 ~boundaries:[ 1000; 5000 ] base in
+  check_int "three segments" 3 (List.length (replayed recording base));
+  check_bool "the run traps" true
+    (ph.Sim.Machine.result.Sim.Machine.profile.Sim.Profiler.window_overflows > 0);
+  check_bool "replaying its own caches gives back its phase profiles" true
+    (replayed recording base = ph.Sim.Machine.phase_profiles)
+
+let test_replay_other_geometry () =
+  let small ways repl =
+    { Arch.Config.ways; way_kb = 1; line_words = 4; replacement = repl }
+  in
+  let other =
+    {
+      base with
+      Arch.Config.icache = small 2 Arch.Config.Lru;
+      dcache = small 1 Arch.Config.Random;
+    }
+  in
+  let boundaries = [ 700 ] in
+  let _, recording = recorded ~reps:2 ~boundaries base in
+  let simulated =
+    Sim.Machine.run_segmented ~reps:2 ~boundaries other qsort
+  in
+  let cm = Sim.Cost_model.of_arch_config other in
+  check_bool "priced replay = simulated phase profiles" true
+    (List.map (Sim.Cost_model.price cm) (replayed recording other)
+    = simulated.Sim.Machine.phase_profiles)
+
 (* --- CPU: assembly helpers --- *)
 
 let run_asm ?(config = base) build =
@@ -664,6 +747,40 @@ let test_trace_limit () =
   check_int "stops at the limit" 50 (List.length entries);
   check_bool "machine still live" true (not (Sim.Cpu.halted cpu))
 
+let test_store_misses_counted () =
+  (* Stores 4 KB apart all conflict in the 4 KB direct-mapped base
+     dcache and never allocate; a load allocates one line, and the
+     store-miss that follows leaves it MRU. *)
+  let store a off =
+    Isa.Asm.emit a
+      (Isa.Insn.Store { width = Isa.Insn.Word; rs = o0; rs1 = o1; op2 = Isa.Insn.Imm off })
+  in
+  let cpu =
+    run_asm (fun a ->
+        let buf = Isa.Asm.data_zero a ~name:"buf" 4096 in
+        mov_imm a buf o1;
+        List.iter (store a) [ 0; 4096; 8192; 12288 ];
+        Isa.Asm.emit a
+          (Isa.Insn.Load { width = Isa.Insn.Word; signed = false; rd = o0; rs1 = o1; op2 = Isa.Insn.Imm 0 });
+        List.iter (store a) [ 0; 4096 ];
+        Isa.Asm.emit a
+          (Isa.Insn.Load { width = Isa.Insn.Word; signed = false; rd = o0; rs1 = o1; op2 = Isa.Insn.Imm 4 });
+        store a 4096;
+        Isa.Asm.emit a Isa.Insn.Halt)
+  in
+  let p = Sim.Cpu.profile cpu in
+  check_int "six write misses" 6 p.Sim.Profiler.dcache_write_misses;
+  check_int "profile = the dcache's own count"
+    (Sim.Cache.stats (Sim.Cpu.dcache cpu)).Sim.Cache.write_misses
+    p.Sim.Profiler.dcache_write_misses;
+  (* window spills store through the dcache too *)
+  let deep = run_asm (factorial_program 12) in
+  let p = Sim.Cpu.profile deep in
+  check_bool "spills miss" true (p.Sim.Profiler.dcache_write_misses > 0);
+  check_int "spill misses = the dcache's own count"
+    (Sim.Cache.stats (Sim.Cpu.dcache deep)).Sim.Cache.write_misses
+    p.Sim.Profiler.dcache_write_misses
+
 (* --- Machine --- *)
 
 let test_machine_scaling () =
@@ -703,6 +820,32 @@ let test_machine_epoch_independence () =
     r10.Sim.Machine.cold_cycles;
   check_int "warm epoch independent of reps" r2.Sim.Machine.warm_cycles
     r10.Sim.Machine.warm_cycles
+
+(* [sim.executed_cycles] counts the epochs actually simulated, while
+   [sim.cycles] counts the reps-scaled profile. *)
+let test_machine_executed_cycles () =
+  let a = Isa.Asm.create () in
+  factorial_program 8 a;
+  let p = Isa.Asm.finish a ~entry:0 in
+  let counted reps =
+    let before = Obs.Metrics.snapshot () in
+    let r = Sim.Machine.run ~reps base p in
+    let after = Obs.Metrics.snapshot () in
+    let delta name =
+      Obs.Metrics.counter_value after name - Obs.Metrics.counter_value before name
+    in
+    (r, delta "sim.executed_cycles", delta "sim.cycles")
+  in
+  let r1, executed1, scaled1 = counted 1 in
+  check_int "reps 1: the cold epoch executed" r1.Sim.Machine.cold_cycles executed1;
+  check_int "reps 1: scaled = executed" executed1 scaled1;
+  let r50, executed50, scaled50 = counted 50 in
+  check_int "reps 50: cold plus one warm epoch executed"
+    (r50.Sim.Machine.cold_cycles + r50.Sim.Machine.warm_cycles)
+    executed50;
+  check_int "reps 50: scaled to 50 executions"
+    (r50.Sim.Machine.cold_cycles + (49 * r50.Sim.Machine.warm_cycles))
+    scaled50
 
 let test_machine_warm_epoch_cache_state () =
   (* The cold/warm boundary reinitialises the architectural state but
@@ -770,6 +913,7 @@ let () =
           Alcotest.test_case "factorial shallow" `Quick test_factorial_shallow;
           Alcotest.test_case "factorial deep traps" `Quick test_factorial_deep_traps;
           Alcotest.test_case "window invariance" `Quick test_windows_semantic_invariance;
+          Alcotest.test_case "store misses counted" `Quick test_store_misses_counted;
         ] );
       ( "timing",
         [
@@ -799,5 +943,14 @@ let () =
           Alcotest.test_case "epoch independence" `Quick test_machine_epoch_independence;
           Alcotest.test_case "warm epoch cache state" `Quick
             test_machine_warm_epoch_cache_state;
+          Alcotest.test_case "executed cycles" `Quick test_machine_executed_cycles;
+        ] );
+      ( "recording",
+        [
+          Alcotest.test_case "own caches replay the recorded profiles" `Quick
+            test_replay_own_caches;
+          Alcotest.test_case "another geometry replays its simulation" `Quick
+            test_replay_other_geometry;
+          QCheck_alcotest.to_alcotest test_profile_pack_roundtrip;
         ] );
     ]
