@@ -112,8 +112,9 @@ let cmd =
          (Cmd.Exit.info 1 ~doc:"when an oracle or open corpus entry fails."
          :: Cmd.Exit.info 2
               ~doc:
-                "on unknown oracles or unreadable files, or when an output \
-                 file cannot be opened."
+                "on unknown oracles, unreadable or malformed corpus entries, \
+                 a corpus directory that cannot be created or written, or \
+                 when an output file cannot be opened."
          :: Cmd.Exit.defaults))
     [ list_cmd; run_cmd; replay_cmd ]
 

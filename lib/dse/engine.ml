@@ -18,9 +18,22 @@ let m_dedup =
   Obs.Metrics.Counter.v "dse.engine.inflight_dedup"
     ~help:"evaluations collapsed onto an identical in-flight or batched request"
 
+let m_evictions =
+  Obs.Metrics.Counter.v "dse.engine.evictions"
+    ~help:"applications whose memo entries were dropped to stay within the budget"
+
+let g_retained =
+  Obs.Metrics.Gauge.v "dse.engine.retained_bytes"
+    ~help:"bytes the engine's memo entries retain"
+
 let h_build_seconds =
   Obs.Metrics.Histogram.v "dse.engine.build_seconds"
     ~help:"wall-clock duration of engine build+simulate computations"
+
+(* The memo's byte budget: the least recently used applications' entries
+   are dropped past it.  A weight sweep over the paper's four
+   applications on both targets keeps under a tenth of it. *)
+let budget_bytes = 1 lsl 20
 
 (* Content-addressed cache key: the codec's canonical encoding always
    emits every field, so structurally equal configurations digest
@@ -34,23 +47,30 @@ type scope = {
   target : string;
   app : string;
   noise : float option;
-  phase : string option;
-      (* segmentation digest for per-phase measurements: a segmented
-         evaluation of the same configuration is a distinct result
-         (it carries per-phase profiles), so it occupies a distinct
-         key; [None] for whole-run evaluations, which a segmented
-         evaluation also fills (see [obtain]) *)
+  segmentation : string option;
+      (* the boundaries of a segmented evaluation: it carries per-segment
+         profiles, so it occupies a distinct key; [None] for whole-run
+         evaluations, which a segmented evaluation also fills (see
+         [obtain]) *)
 }
 
 type key = { scope : scope; digest : string }
 
-let key_of ?noise ?phase (probe : _ Target.probe) (app : Apps.Registry.t)
+let key_of ?noise ?segmentation (probe : _ Target.probe) (app : Apps.Registry.t)
     config =
   {
     scope =
-      { target = probe.Target.target; app = app.Apps.Registry.name; noise; phase };
+      {
+        target = probe.Target.target;
+        app = app.Apps.Registry.name;
+        noise;
+        segmentation;
+      };
     digest = probe.Target.digest config;
   }
+
+let segmentation_of boundaries =
+  String.concat "," (List.map string_of_int boundaries)
 
 let pack_profile p =
   let b = Buffer.create 64 in
@@ -80,16 +100,40 @@ let profile_of packed = Sim.Profiler.unpack packed ~pos:16
 (* [Unfit] holds the (noised) resource estimate of a configuration that
    exceeds the device: a feasibility query needs no simulation, but a
    later forced {!eval} upgrades the entry to [Full] by simulating with
-   the saved resources.  The memo keeps every entry for the engine's
-   lifetime, so a [Full] evaluation is held packed ({!pack}): its
-   seconds, resources and profile counters in one string of about ten
-   words where the records take about thirty, with the packed
-   per-phase profiles of a segmented evaluation ([] for whole-run
-   ones). *)
+   the saved resources.  A [Full] evaluation is held packed ({!pack}):
+   its seconds, resources and profile counters in one string of about
+   ten words where the records take about thirty, with the packed
+   per-segment profiles of a segmented evaluation ([] for whole-run
+   ones).  Every entry names the batch that created it (see
+   [current_batch]). *)
 type entry =
-  | Pending
-  | Unfit of Synth.Resource.t
-  | Full of { packed : string; fits : bool; segments : string list }
+  | Pending of int
+  | Unfit of { resources : Synth.Resource.t; batch : int }
+  | Full of { packed : string; fits : bool; segments : string list; batch : int }
+
+(* Bytes an entry retains: its strings plus a fixed share for the
+   table's cell and bucket slots, the entry block and the string
+   headers. *)
+let entry_bytes digest = function
+  | Pending _ -> 0
+  | Unfit _ -> 104 + String.length digest
+  | Full v ->
+      104 + String.length digest + String.length v.packed
+      + List.fold_left (fun n s -> n + 16 + String.length s) 0 v.segments
+
+(* One application's memo entries, on both targets, under every noise
+   and segmentation: the unit of retention.  [stamp] is the engine's
+   clock at its last use; [pending] counts its computations in
+   flight. *)
+type group = {
+  name : string;
+  mutable stamp : int;
+  mutable bytes : int;
+  mutable pending : int;
+  mutable scopes : scope list;
+}
+
+type memo = { digests : (string, entry) Hashtbl.t; group : group }
 
 (* One computation run at most once per engine: [Busy] is installed
    only by the thread about to compute, and a computation never waits,
@@ -99,12 +143,12 @@ type entry =
 type 'a cell = { mutable state : 'a state }
 and 'a state = Busy | Done of 'a | Failed
 
-(* One execution class's recording, under the class's key without
-   noise (noise never changes a run) and with the segmentation digest
-   of a segmented evaluation.  [claimed] is set by the first miss
-   priced from it, which counts as the build; a recording the window
-   walk needed before any miss claimed it is unclaimed until then.
-   [replays] holds its cache replays, one per side and geometry. *)
+(* One execution class's recording, under the class's whole-run key
+   without noise (noise never changes a run).  [claimed] is set by the
+   first miss priced from it, which counts as the build; a recording
+   made for phase detection or the window walk is unclaimed until
+   then.  [replays] holds its cache replays, one per side and
+   geometry, the recorded caches' own from the start. *)
 type recorded = {
   recording : Sim.Recording.t;
   mutable claimed : bool;
@@ -116,8 +160,10 @@ type t = {
   cond : Condition.t;
       (* signaled whenever an entry leaves [Pending] or a cell leaves
          [Busy] *)
-  table : (scope, (string, entry) Hashtbl.t) Hashtbl.t;
-      (* the memo: per scope, per digest *)
+  table : (scope, memo) Hashtbl.t;  (* the memo: per scope, per digest *)
+  groups : (string, group) Hashtbl.t;  (* per application *)
+  mutable clock : int;
+  mutable retained : int;  (* bytes of every group *)
   recordings : (key, recorded cell) Hashtbl.t;
       (* only the most recently evaluated application's, and any still
          being made *)
@@ -128,24 +174,117 @@ type t = {
          against the mutator), so batches run inline there. *)
 }
 
+(* {1 Batches}
+
+   A lookup is classified from the request sequence alone: every fan-out
+   through {!map} is a batch with its own number, its tasks run under
+   it, and a lookup that finds an entry its own batch created counts as
+   an in-flight dedup whether or not the computation has finished —
+   otherwise as a hit.  Outside any batch the number is 0, which no
+   entry's batch matches. *)
+
+let batches = Atomic.make 0
+let current_batch = Domain.DLS.new_key (fun () -> ref 0)
+
+let in_batch id f =
+  let cell = Domain.DLS.get current_batch in
+  let saved = !cell in
+  cell := id;
+  Fun.protect ~finally:(fun () -> cell := saved) f
+
+(* {1 The memo and its retention} *)
+
 let find t k =
-  Option.bind (Hashtbl.find_opt t.table k.scope) (fun digests ->
-      Hashtbl.find_opt digests k.digest)
+  Option.bind (Hashtbl.find_opt t.table k.scope) (fun m ->
+      Hashtbl.find_opt m.digests k.digest)
+
+(* The application is in use: O(1), allocation-free on a hit. *)
+let touch t g =
+  if g.stamp <> t.clock then begin
+    t.clock <- t.clock + 1;
+    g.stamp <- t.clock
+  end
+
+let group t name =
+  match Hashtbl.find_opt t.groups name with
+  | Some g -> g
+  | None ->
+      let g = { name; stamp = -1; bytes = 0; pending = 0; scopes = [] } in
+      Hashtbl.replace t.groups name g;
+      g
+
+let memo t scope =
+  match Hashtbl.find_opt t.table scope with
+  | Some m -> m
+  | None ->
+      let g = group t scope.app in
+      let m = { digests = Hashtbl.create 16; group = g } in
+      Hashtbl.replace t.table scope m;
+      g.scopes <- scope :: g.scopes;
+      m
+
+let evict t g =
+  List.iter (Hashtbl.remove t.table) g.scopes;
+  Hashtbl.remove t.groups g.name;
+  t.retained <- t.retained - g.bytes;
+  Obs.Metrics.Counter.incr m_evictions
+
+(* Drop the least recently used applications, never [keep] nor one
+   with a computation in flight, until the memo fits its budget.  The
+   groups' clock order and bytes follow the requests, so which ones go
+   does too. *)
+let rec trim t ~keep =
+  if t.retained > budget_bytes then begin
+    let victim =
+      Hashtbl.fold
+        (fun _ g best ->
+          if g == keep || g.pending > 0 then best
+          else
+            match best with
+            | Some b when b.stamp <= g.stamp -> best
+            | _ -> Some g)
+        t.groups None
+    in
+    match victim with
+    | Some g ->
+        evict t g;
+        trim t ~keep
+    | None -> ()
+  end
 
 let set t k entry =
-  let digests =
-    match Hashtbl.find_opt t.table k.scope with
-    | Some d -> d
-    | None ->
-        let d = Hashtbl.create 16 in
-        Hashtbl.replace t.table k.scope d;
-        d
+  let m = memo t k.scope in
+  let g = m.group in
+  let before =
+    match Hashtbl.find_opt m.digests k.digest with
+    | Some e -> entry_bytes k.digest e
+    | None -> 0
   in
-  Hashtbl.replace digests k.digest entry
+  let delta = entry_bytes k.digest entry - before in
+  g.bytes <- g.bytes + delta;
+  t.retained <- t.retained + delta;
+  Hashtbl.replace m.digests k.digest entry;
+  touch t g;
+  if delta > 0 then trim t ~keep:g;
+  Obs.Metrics.Gauge.set g_retained (float_of_int t.retained)
+
+(* A computation claims [k] ([Pending]), then settles it with its entry
+   or, failing, removes it. *)
+let claim t k ~batch =
+  set t k (Pending batch);
+  let g = (memo t k.scope).group in
+  g.pending <- g.pending + 1
+
+let settle t k entry =
+  let g = (memo t k.scope).group in
+  g.pending <- g.pending - 1;
+  set t k entry
 
 let remove t k =
   Option.iter
-    (fun digests -> Hashtbl.remove digests k.digest)
+    (fun m ->
+      m.group.pending <- m.group.pending - 1;
+      Hashtbl.remove m.digests k.digest)
     (Hashtbl.find_opt t.table k.scope)
 
 let create ?pool () =
@@ -153,6 +292,9 @@ let create ?pool () =
     mutex = Mutex.create ();
     cond = Condition.create ();
     table = Hashtbl.create 16;
+    groups = Hashtbl.create 16;
+    clock = 0;
+    retained = 0;
     recordings = Hashtbl.create 16;
     pool;
   }
@@ -160,9 +302,18 @@ let create ?pool () =
 let clear t =
   Mutex.lock t.mutex;
   Hashtbl.reset t.table;
+  Hashtbl.reset t.groups;
+  t.retained <- 0;
   Hashtbl.reset t.recordings;
+  Obs.Metrics.Gauge.set g_retained 0.0;
   Condition.broadcast t.cond;
   Mutex.unlock t.mutex
+
+let retained_bytes t =
+  Mutex.lock t.mutex;
+  let n = t.retained in
+  Mutex.unlock t.mutex;
+  n
 
 (* Deterministic synthesis "measurement noise": a hash of the
    configuration drives a uniform error in [-1, 1] x amplitude, where
@@ -209,8 +360,9 @@ let timed f =
   r
 
 (* [key]'s value in [tbl], computed by [compute] at most once (see
-   [cell]).  Called and returns with [t.mutex] held. *)
-let once t tbl key compute =
+   [cell]); a finished value that is not [usable] is dropped and
+   computed again.  Called and returns with [t.mutex] held. *)
+let once ?(usable = fun _ -> true) t tbl key compute =
   let rec look () =
     match Hashtbl.find_opt tbl key with
     | Some cell -> wait cell
@@ -228,15 +380,20 @@ let once t tbl key compute =
             let bt = Printexc.get_raw_backtrace () in
             Mutex.lock t.mutex;
             cell.state <- Failed;
-            (match Hashtbl.find_opt tbl key with
-            | Some c when c == cell -> Hashtbl.remove tbl key
-            | Some _ | None -> ());
+            drop cell;
             Condition.broadcast t.cond;
             Mutex.unlock t.mutex;
             Printexc.raise_with_backtrace e bt)
+  and drop cell =
+    match Hashtbl.find_opt tbl key with
+    | Some c when c == cell -> Hashtbl.remove tbl key
+    | Some _ | None -> ()
   and wait cell =
     match cell.state with
-    | Done v -> v
+    | Done v when usable v -> v
+    | Done _ ->
+        drop cell;
+        look ()
     | Busy ->
         Condition.wait t.cond t.mutex;
         wait cell
@@ -244,13 +401,16 @@ let once t tbl key compute =
   in
   look ()
 
-(* The recording of class [cls] ([phase]: a segmented one), made by
-   [simulate] inside a capture at most once per engine.  Looking one up
-   drops every finished recording of another application, so the live
-   streams are one application's.  [~claim] reports whether this call
-   is the first miss priced from it. *)
-let recording t (probe : _ Target.probe) app cls ?phase ~simulate ~claim () =
-  let key = key_of ?phase probe app cls in
+(* The recording of class [cls], made by [probe.simulate] inside a
+   capture at most once per engine and marked every [window] retired instructions
+   (unmarked, one window, when the request has none).  A request with a
+   window takes the class's recording only if it serves that window
+   ({!Sim.Recording.serves}); otherwise a new one replaces it.  Looking
+   one up drops every finished recording of another application, so
+   the live streams are one application's.  [~claim] reports whether
+   this call is the first miss priced from it. *)
+let recording t (probe : _ Target.probe) app ?window ~claim cls =
+  let key = key_of probe app cls in
   Mutex.lock t.mutex;
   Hashtbl.filter_map_inplace
     (fun (k : key) c ->
@@ -258,10 +418,25 @@ let recording t (probe : _ Target.probe) app cls ?phase ~simulate ~claim () =
       | Done _ when k.scope.app <> key.scope.app -> None
       | Done _ | Busy | Failed -> Some c)
     t.recordings;
+  let usable r =
+    match window with
+    | None -> true
+    | Some w -> Sim.Recording.serves r.recording ~window:w
+  in
   let r =
-    once t t.recordings key (fun () ->
-        let _, recording = timed (fun () -> Sim.Recording.capture simulate) in
-        { recording; claimed = false; replays = Hashtbl.create 16 })
+    once ~usable t t.recordings key (fun () ->
+        let _, recording =
+          timed (fun () ->
+              Sim.Recording.capture ?window (fun () ->
+                  probe.Target.simulate app cls))
+        in
+        let replays = Hashtbl.create 16 in
+        let icache, dcache = probe.Target.caches cls in
+        let own_icache, own_dcache = Sim.Recording.own recording in
+        Hashtbl.replace replays (Sim.Cache.Instruction, icache)
+          { state = Done own_icache };
+        Hashtbl.replace replays (Sim.Cache.Data, dcache) { state = Done own_dcache };
+        { recording; claimed = false; replays })
   in
   let first = claim && not r.claimed in
   if first then r.claimed <- true;
@@ -277,33 +452,30 @@ let replayed t r side geometry =
   Mutex.unlock t.mutex;
   v
 
+(* The recording of [config]'s execution class, with the window walk's
+   recordings made at the same window; [~claim] as for [recording]. *)
+let class_recording t (probe : _ Target.probe) app ?window ~claim config =
+  let run c =
+    Sim.Recording.profile (fst (recording t probe app ?window ~claim:false c)).recording
+  in
+  recording t probe app ?window ~claim (probe.Target.representative ~run config)
+
+let replays_of t (probe : _ Target.probe) r config =
+  let icache, dcache = probe.Target.caches config in
+  ( replayed t r Sim.Cache.Instruction icache,
+    replayed t r Sim.Cache.Data dcache )
+
 (* An evaluation: [config] priced from its class's recording with its
    own caches replayed ([segmented]: per segment too).  The miss that
    first claims the recording is the build; every other is priced.
    Returns the journal kind with the result. *)
 let evaluate t (probe : _ Target.probe) app config ~segmented =
-  let run c =
-    let r, _ =
-      recording t probe app c ~claim:false
-        ~simulate:(fun () -> probe.Target.simulate app c)
-        ()
-    in
-    Sim.Recording.profile r.recording
-  in
-  let cls = probe.Target.representative ~run config in
-  let phase, simulate =
-    match segmented with
-    | None -> (None, fun () -> ignore (probe.Target.simulate app cls))
-    | Some (phase, f) -> (Some phase, fun () -> f app cls)
-  in
-  let r, built = recording t probe app cls ?phase ~claim:true ~simulate () in
+  let window = Option.map fst segmented in
+  let r, built = class_recording t probe app ?window ~claim:true config in
   Obs.Metrics.Counter.incr (if built then m_builds else m_priced);
-  let icache, dcache = probe.Target.caches config in
-  let parts =
-    Sim.Recording.profiles r.recording
-      ~icache:(replayed t r Sim.Cache.Instruction icache)
-      ~dcache:(replayed t r Sim.Cache.Data dcache)
-  in
+  let icache, dcache = replays_of t probe r config in
+  let boundaries = match segmented with None -> [] | Some (_, b) -> b in
+  let parts = Sim.Recording.profiles r.recording ~icache ~dcache ~boundaries in
   let seconds, profile =
     probe.Target.price config
       (List.fold_left Sim.Profiler.add (Sim.Profiler.create ()) parts)
@@ -330,20 +502,26 @@ let journal_fields (probe : _ Target.probe) (app : Apps.Registry.t) config =
    actively running computation — never on a queued task — which keeps
    pool workers deadlock-free when they block here.  A failed compute
    removes its entry and wakes waiters before re-raising, so nobody
-   waits on a corpse. *)
+   waits on a corpse.  Each lookup counts once: a miss, or a hit, or a
+   dedup when the entry it finds was created by its own batch (see
+   [current_batch]). *)
 let obtain t ~feasible_only ?segmented ?noise probe app config =
-  let key = key_of ?noise ?phase:(Option.map fst segmented) probe app config in
+  let segmentation = Option.map (fun (_, b) -> segmentation_of b) segmented in
+  let key = key_of ?noise ?segmentation probe app config in
+  let batch = !(Domain.DLS.get current_batch) in
   let counted = ref false in
   let journal kind extra =
     if Obs.Journal.enabled () then
       Obs.Journal.record ~kind (journal_fields probe app config @ extra)
   in
-  let hit r =
+  (* Each lookup counts once, with [t.mutex] held. *)
+  let count b =
     if not !counted then begin
-      Obs.Metrics.Counter.incr m_hits;
-      journal "engine.hit" []
-    end;
-    r
+      counted := true;
+      let dedup = batch <> 0 && b = batch in
+      Obs.Metrics.Counter.incr (if dedup then m_dedup else m_hits);
+      journal (if dedup then "engine.dedup" else "engine.hit") []
+    end
   in
   let compute prior =
     Obs.Metrics.Counter.incr m_misses;
@@ -356,34 +534,41 @@ let obtain t ~feasible_only ?segmented ?noise probe app config =
         | Some r -> (r, false) (* a cached [Unfit]: skip re-elaboration *)
         | None -> noised_resources ?noise probe config
       in
-      if feasible_only && not fits then (Unfit resources, "engine.unfit")
+      if feasible_only && not fits then (Unfit { resources; batch }, "engine.unfit")
       else
         let seconds, profile, segments, kind =
           evaluate t probe app config ~segmented
         in
         ( Full
-            { packed = pack { Cost.seconds; resources } profile; fits; segments },
+            {
+              packed = pack { Cost.seconds; resources } profile;
+              fits;
+              segments;
+              batch;
+            },
           kind )
     with
     | entry, kind ->
         Mutex.lock t.mutex;
-        set t key entry;
+        settle t key entry;
         (* A segmented run's whole-run part is the plain run's result
            bit for bit, so it also fills the configuration's whole-run
            key — unless that key is already built or being built. *)
         (match entry with
-        | Full v when key.scope.phase <> None -> (
-            let whole = { key with scope = { key.scope with phase = None } } in
+        | Full v when key.scope.segmentation <> None -> (
+            let whole =
+              { key with scope = { key.scope with segmentation = None } }
+            in
             match find t whole with
-            | Some (Full _ | Pending) -> ()
+            | Some (Full _ | Pending _) -> ()
             | None | Some (Unfit _) -> set t whole (Full { v with segments = [] }))
-        | Full _ | Unfit _ | Pending -> ());
+        | Full _ | Unfit _ | Pending _ -> ());
         Condition.broadcast t.cond;
         Mutex.unlock t.mutex;
         journal kind
           (match entry with
           | Full v -> [ ("fits", Obs.Json.Bool v.fits) ]
-          | Unfit _ | Pending -> []);
+          | Unfit _ | Pending _ -> []);
         entry
     | exception e ->
         let bt = Printexc.get_raw_backtrace () in
@@ -395,28 +580,29 @@ let obtain t ~feasible_only ?segmented ?noise probe app config =
   in
   Mutex.lock t.mutex;
   let rec loop () =
-    match find t key with
-    | Some (Full _ as e) ->
+    let m = Hashtbl.find_opt t.table key.scope in
+    match Option.bind m (fun m -> Hashtbl.find_opt m.digests key.digest) with
+    | Some (Full v as e) ->
+        count v.batch;
+        Option.iter (fun m -> touch t m.group) m;
         Mutex.unlock t.mutex;
-        hit e
-    | Some (Unfit _ as e) when feasible_only ->
+        e
+    | Some (Unfit u as e) when feasible_only ->
+        count u.batch;
+        Option.iter (fun m -> touch t m.group) m;
         Mutex.unlock t.mutex;
-        hit e
-    | Some (Unfit r) ->
+        e
+    | Some (Unfit u) ->
         (* A forced build of a known-unfit configuration. *)
-        set t key Pending;
+        claim t key ~batch;
         Mutex.unlock t.mutex;
-        compute (Some r)
-    | Some Pending ->
-        if not !counted then begin
-          counted := true;
-          Obs.Metrics.Counter.incr m_dedup;
-          journal "engine.dedup" []
-        end;
+        compute (Some u.resources)
+    | Some (Pending b) ->
+        count b;
         Condition.wait t.cond t.mutex;
         loop ()
     | None ->
-        set t key Pending;
+        claim t key ~batch;
         Mutex.unlock t.mutex;
         compute None
   in
@@ -432,7 +618,7 @@ let obtain t ~feasible_only ?segmented ?noise probe app config =
 let eval_on_uncounted ?noise t probe app config =
   match obtain t ~feasible_only:false ?noise probe app config with
   | Full v -> cost_of v.packed
-  | Unfit _ | Pending -> assert false
+  | Unfit _ | Pending _ -> assert false
 
 let eval_on ?noise t probe app config =
   Pool.run_inline (fun () -> eval_on_uncounted ?noise t probe app config)
@@ -441,20 +627,20 @@ let eval_profiled_on ?noise t probe app config =
   Pool.run_inline (fun () ->
       match obtain t ~feasible_only:false ?noise probe app config with
       | Full v -> (cost_of v.packed, profile_of v.packed)
-      | Unfit _ | Pending -> assert false)
+      | Unfit _ | Pending _ -> assert false)
 
-let eval_segments_on_uncounted ?noise t probe ~phase ~segmented app config =
+let eval_segments_on_uncounted ?noise t probe ~window ~boundaries app config =
   match
-    obtain t ~feasible_only:false ~segmented:(phase, segmented) ?noise probe
+    obtain t ~feasible_only:false ~segmented:(window, boundaries) ?noise probe
       app config
   with
   | Full v ->
       (cost_of v.packed, List.map (Sim.Profiler.unpack ~pos:0) v.segments)
-  | Unfit _ | Pending -> assert false
+  | Unfit _ | Pending _ -> assert false
 
-let eval_segments_on ?noise t probe ~phase ~segmented app config =
+let eval_segments_on ?noise t probe ~window ~boundaries app config =
   Pool.run_inline (fun () ->
-      eval_segments_on_uncounted ?noise t probe ~phase ~segmented app config)
+      eval_segments_on_uncounted ?noise t probe ~window ~boundaries app config)
 
 let journal_infeasible probe app config reason =
   if Obs.Journal.enabled () then
@@ -471,7 +657,7 @@ let eval_feasible_on_uncounted ?noise t (probe : _ Target.probe) app config =
     match obtain t ~feasible_only:true ?noise probe app config with
     | Full v -> if v.fits then Some (cost_of v.packed) else None
     | Unfit _ -> None
-    | Pending -> assert false
+    | Pending _ -> assert false
 
 let eval_feasible_on ?noise t probe app config =
   Pool.run_inline (fun () ->
@@ -547,6 +733,8 @@ let eval_bounded_on ?noise ~cutoff t (probe : _ Target.probe) app config =
    caller — still through the pool's task accounting, so
    [dse.pool.tasks] reflects the work actually done. *)
 let map t f xs =
+  let id = Atomic.fetch_and_add batches 1 + 1 in
+  let f x = in_batch id (fun () -> f x) in
   match t.pool with
   | Some pool -> Pool.map pool f xs
   | None when Domain.recommended_domain_count () > 1 ->
@@ -601,17 +789,32 @@ let eval_all_feasible_on ?noise t probe app configs =
               (journal_fields probe app config))
         (fun config -> eval_feasible_on_uncounted ?noise t probe app config)
 
-let eval_all_segments_on ?noise t probe ~phase ~segmented app configs =
+(* A segmentation at multiples of [window]: strictly increasing
+   positive boundaries. *)
+let check_segmentation ~window boundaries =
+  if window < 1 then invalid_arg "Engine: window must be >= 1";
+  ignore
+    (List.fold_left
+       (fun prev b ->
+         if b <= prev || b mod window <> 0 then
+           invalid_arg
+             "Engine: boundaries must be strictly increasing multiples of the \
+              window";
+         b)
+       0 boundaries)
+
+let eval_all_segments_on ?noise t probe ~window ~boundaries app configs =
+  check_segmentation ~window boundaries;
   match configs with
   | [] -> []
   | [ config ] ->
-      [ eval_segments_on ?noise t probe ~phase ~segmented app config ]
+      [ eval_segments_on ?noise t probe ~window ~boundaries app config ]
   | _ ->
       ignore (Lazy.force app.Apps.Registry.program);
+      let segmentation = segmentation_of boundaries in
       let keyed =
         List.map
-          (fun config ->
-            (key_of ?noise ~phase probe app config, config))
+          (fun config -> (key_of ?noise ~segmentation probe app config, config))
           configs
       in
       batch ~span_name:"engine.eval_all" t keyed
@@ -620,8 +823,30 @@ let eval_all_segments_on ?noise t probe ~phase ~segmented app configs =
             Obs.Journal.record ~kind:"engine.dedup"
               (journal_fields probe app config))
         (fun config ->
-          eval_segments_on_uncounted ?noise t probe ~phase ~segmented app
+          eval_segments_on_uncounted ?noise t probe ~window ~boundaries app
             config)
+
+let windows_on t (probe : _ Target.probe) app ~window config =
+  check_segmentation ~window [];
+  ignore (Lazy.force app.Apps.Registry.program);
+  let r, _ = class_recording t probe app ~window ~claim:false config in
+  let icache, dcache = replays_of t probe r config in
+  List.map
+    (fun p -> snd (probe.Target.price config p))
+    (Sim.Recording.segments r.recording ~icache ~dcache ~epoch:0
+       ~boundaries:(Sim.Recording.window_starts r.recording ~window))
+
+let recording_on t (probe : _ Target.probe) app ~window configs =
+  check_segmentation ~window [];
+  ignore (Lazy.force app.Apps.Registry.program);
+  let recordings =
+    List.map
+      (fun c -> fst (class_recording t probe app ~window ~claim:false c))
+      configs
+  in
+  match recordings with
+  | r :: rest when List.for_all (fun r' -> r' == r) rest -> r.recording
+  | _ -> invalid_arg "Engine.recording_on: configurations of different execution classes"
 
 let default_mutex = Mutex.create ()
 let default_engine = ref None

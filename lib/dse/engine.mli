@@ -14,7 +14,7 @@
     {b Memoization.}  Results are stored in a content-addressed memo
     cache keyed by [(target name, application name, digest of the
     target codec's canonical encoding, noise amplitude)], plus the
-    segmentation digest for per-phase measurements (see
+    segment boundaries of a per-segment measurement (see
     {!eval_all_segments_on}).  Evaluation is
     deterministic — the simulator is cycle-accurate and the synthesis
     model analytic, with {e deterministic} per-configuration
@@ -28,25 +28,39 @@
     {b Targets.}  Every evaluation names its backend by a
     {!Target.probe} (e.g. [Target_leon2.probe]).
 
-    {b Recordings and replays.}  A miss does not simulate its
-    configuration.  It names the configuration's execution class
+    {b One recording per execution class.}  A miss does not simulate
+    its configuration.  It names the configuration's execution class
     ([probe.representative]: both caches and every price-only field at
     their base values, a trap-free window count lowered), whose run is
-    recorded once per [(target, application, class)]
-    ({!Sim.Recording}, through [probe.simulate]; a segmented
-    evaluation's class is recorded through the caller's segmented
-    function, once per segmentation).  The configuration's own caches
-    ([probe.caches]) are then replayed over that recording, each cache
-    geometry at most once per recording, and the resulting profile is
-    priced ([probe.price]) — per segment too, for a segmented
-    evaluation.  The class's own evaluation goes the same way, so this
-    is the only path.  Recordings and replays follow the same in-flight
-    discipline as the memo entries, so which runs and replays happen
-    depends only on the requests.  Replay and pricing are exact, so
-    every answer is bit-identical to a simulation.  The engine keeps
-    only the most recently evaluated application's recordings (never
-    one being made or waited on).  Memo entries are kept for the
-    engine's lifetime, packed.
+    recorded once per [(target, application, class)] through
+    [probe.simulate] ({!Sim.Recording}); one made for a windowed
+    request (segments, phase detection, a schedule) marks a window
+    every so many retired instructions.  Any recording of the class
+    serves a whole-run miss; a segmented miss needs one whose windows
+    its boundaries fall on, since a segment is a union of windows.  The
+    configuration's own caches ([probe.caches]) are replayed over the
+    recording, each cache geometry at most once per recording (the
+    recorded caches' own replays come with the recording), and the
+    resulting profile is priced ([probe.price]) — per segment too, for
+    a segmented evaluation.  The same recording answers phase
+    detection ({!windows_on}) and a schedule's verification
+    ({!recording_on}).  A request that needs windows the class's
+    recording does not mark records the class again (counted by
+    [sim.runs]); that recording replaces the old one.  Recordings and
+    replays follow the same in-flight discipline as the memo entries,
+    so which runs and replays happen depends only on the requests.
+    Replay and pricing are exact, so every answer is bit-identical to
+    a simulation.  The engine keeps only the most recently evaluated
+    application's recordings (never one being made or waited on).
+
+    {b Retention.}  Memo entries are held packed, grouped by
+    application (both targets, every noise and segmentation).  When
+    they retain more than {!budget_bytes}, the least recently used
+    applications are dropped whole, never the one being evaluated nor
+    one with a computation in flight.  Use order and sizes follow the
+    requests, so which applications are dropped depends only on the
+    request sequence; a dropped application is recomputed, bit for
+    bit, when asked again.
 
     {b Deduplication.}  Concurrent requests for an in-flight key wait
     for the winner's result instead of recomputing, and the batch APIs
@@ -56,15 +70,21 @@
     {!Pool} (work-stealing domain pool) under one pool-selection rule,
     {!map}.
 
-    {b Observability.}  [dse.engine.hits], [dse.engine.misses] and
-    [dse.engine.inflight_dedup] count cache behavior.  Every miss that
+    {b Observability.}  Each lookup counts once: in
+    [dse.engine.misses] when it evaluates, in
+    [dse.engine.inflight_dedup] when it finds an entry created by its
+    own batch (one {!map} fan-out, or a repeat inside one batch call),
+    finished or not, and in [dse.engine.hits] otherwise.  So the split
+    depends on the requests, not on domain timing.  Every miss that
     evaluates is a build or priced, so [dse.engine.misses =
     dse.builds + dse.engine.priced] plus the over-capacity [Unfit]
     answers, segmented evaluations included: [dse.builds] counts the
     first miss priced from each recording, [dse.engine.priced] the
     others; the journal kinds are [engine.build] and [engine.priced].
-    [sim.runs] counts the recordings made and [sim.replays] the cache
-    replays.  Each miss runs under an [engine.build] span. *)
+    [dse.engine.evictions] counts dropped applications and the gauge
+    [dse.engine.retained_bytes] the memo's bytes.  [sim.runs] counts
+    the recordings made and [sim.replays] the cache replays.  Each
+    miss runs under an [engine.build] span. *)
 
 type t
 
@@ -83,6 +103,13 @@ val create : ?pool:Pool.t -> unit -> t
 val clear : t -> unit
 (** Drop every cached result and recording (counters are unaffected).
     For tests that need a cold engine. *)
+
+val budget_bytes : int
+(** The memo's retention budget, in bytes. *)
+
+val retained_bytes : t -> int
+(** Bytes the memo entries retain now (the
+    [dse.engine.retained_bytes] gauge of the last engine changed). *)
 
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Order-preserving map under the engine's pool-selection rule (see
@@ -121,25 +148,45 @@ val eval_all_segments_on :
   ?noise:float ->
   t ->
   'c Target.probe ->
-  phase:string ->
-  segmented:(Apps.Registry.t -> 'c -> unit) ->
+  window:int ->
+  boundaries:int list ->
   Apps.Registry.t ->
   'c list ->
   (Cost.t * Sim.Profiler.t list) list
-(** Per-phase measurement of a batch of configurations of one
+(** Per-segment measurement of a batch of configurations of one
     application, in input order, with the same deduplication and
-    pooling as {!eval_all_feasible_on}, returning each cost with its
-    per-phase profiles.  The memo key is extended with [phase] — the
-    segmentation digest (see {!Sim.Phase.digest}) — so two different
-    segmentations never collide.  Each computed segmented evaluation also fills the same
+    pooling as {!eval_all_feasible_on}, returning each cost with the
+    profiles of its segments [[0, b1)], ..., [[bn, end)].  The
+    boundaries are strictly increasing multiples of [window], the
+    window a recording made for them marks.  The memo key is extended
+    with the boundaries, so two different segmentations never collide.
+    Each computed segmented evaluation also fills the same
     configuration's whole-run entry with its cost and whole-run
     profile, unless that entry is already built or being built: a
     later {!eval_on} or {!eval_profiled_on} of the configuration is a
-    hit, so one evaluation serves both.  [segmented app c] is run only
-    on execution classes, inside a recording capture: it must run [c]
-    once, carved at the segmentation's boundaries, through
-    {!Sim.Machine.run_phased} (as {!Target.S.run_app_segmented}
-    does). *)
+    hit, so one evaluation serves both.
+    @raise Invalid_argument on boundaries that are not strictly
+    increasing multiples of [window]. *)
+
+val windows_on :
+  t -> 'c Target.probe -> Apps.Registry.t -> window:int -> 'c -> Sim.Profiler.t list
+(** The cold epoch of the configuration's run, per window of [window]
+    retired instructions (the last one possibly shorter), as simulating
+    it would profile them: its class's recording, with its caches
+    replayed and its prices applied.  What {!Sim.Phase.split} detects
+    phases from.  Not an evaluation: no lookup is counted, and the
+    recording stays unclaimed until a miss prices from it.
+    @raise Invalid_argument if [window < 1]. *)
+
+val recording_on :
+  t -> 'c Target.probe -> Apps.Registry.t -> window:int -> 'c list -> Sim.Recording.t
+(** The recording of the configurations' shared execution class,
+    marked at every multiple of [window] inside the run.  A schedule of
+    them replays from it ({!Sim.Machine.replay_phased}): a schedule
+    shares every static group's decision across its phases, so its
+    configurations share a class.  Counted like {!windows_on}.
+    @raise Invalid_argument if [window < 1] or the configurations are
+    of different execution classes. *)
 
 type admission =
   | Infeasible  (** structurally invalid or exceeds the device *)

@@ -1223,13 +1223,15 @@ module Make (T : Target.S) = struct
 
   module Schedule = struct
     (* Phase-aware reconfiguration: detect phases of one application,
-       measure the one-at-a-time model per phase (through the engine,
-       keyed by the segmentation digest; the same runs serve the static
-       model's whole-run lookups), solve one BINLP with
+       measure the one-at-a-time model per phase, solve one BINLP with
        per-phase variable copies and pairwise switch costs, and verify
-       the winning schedule against the verified static pick.  Every
-       step is deterministic, so the outcome is identical for any
-       worker count. *)
+       the winning schedule against the verified static pick.  One
+       engine recording per execution class answers all of it: the
+       detector splits base's recorded windows, every per-phase and
+       whole-run evaluation is priced from the recording, and the
+       schedule is verified by replaying it.  Every step is
+       deterministic, so the outcome is identical for any worker
+       count. *)
 
     type plan =
       | Static of T.config
@@ -1309,10 +1311,14 @@ module Make (T : Target.S) = struct
         ~attrs:[ ("app", Obs.Json.String app.Apps.Registry.name) ]
       @@ fun span ->
       let dims = match dims with None -> T.schedule_dims | Some d -> d in
+      let options = Option.value options ~default:Sim.Phase.default_options in
+      let window = options.Sim.Phase.window in
       let phases =
         Obs.Span.with_ ~cat:"dse" "schedule.detect"
           ~attrs:[ ("app", Obs.Json.String app.Apps.Registry.name) ]
-          (fun () -> T.detect_phases ?options app)
+          (fun () ->
+            Sim.Phase.split options
+              (Engine.windows_on (Engine.default ()) T.probe app ~window T.base))
       in
       let nphases = Sim.Phase.count phases in
       Obs.Span.add_attr span "phases" (Obs.Json.Int nphases);
@@ -1323,14 +1329,11 @@ module Make (T : Target.S) = struct
          (measured, reference) pair segmented, before the static
          optimizer: each segmented evaluation also fills its
          configuration's whole-run engine entry, so [Measure.build]
-         below hits on every row and each configuration is simulated
+         below hits on every row and each configuration is evaluated
          once.  [batch] is base, then one pair per row in row order. *)
       let batch =
         if nphases = 1 then []
         else begin
-          let segmented app config =
-            ignore (T.run_app_segmented ~config ~boundaries app)
-          in
           let configs =
             T.base
             :: List.concat_map
@@ -1343,7 +1346,7 @@ module Make (T : Target.S) = struct
             ~attrs:[ ("app", Obs.Json.String app.Apps.Registry.name) ]
             (fun () ->
               Engine.eval_all_segments_on ?noise (Engine.default ()) T.probe
-                ~phase:(Sim.Phase.digest phases) ~segmented app configs)
+                ~window ~boundaries app configs)
         end
       in
       let static = Optimizer.run ?noise ~dims ~weights app in
@@ -1446,7 +1449,10 @@ module Make (T : Target.S) = struct
             let ph =
               Obs.Span.with_ ~cat:"dse" "schedule.verify"
                 ~attrs:[ ("app", Obs.Json.String app.Apps.Registry.name) ]
-                (fun () -> T.run_app_phased ~schedule app)
+                (fun () ->
+                  T.replay_app_phased ~schedule
+                    (Engine.recording_on (Engine.default ()) T.probe app
+                       ~window (List.map snd schedule)))
             in
             ( Sim.Machine.seconds ph.Sim.Machine.result,
               ph.Sim.Machine.switch_cycles )

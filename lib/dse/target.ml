@@ -220,13 +220,16 @@ module type S = sig
   val detect_phases :
     ?options:Sim.Phase.options -> Apps.Registry.t -> Sim.Phase.t
   (** Segment one cold execution of the application on [base] into
-      program phases (see {!Sim.Phase}); deterministic. *)
+      program phases ({!Sim.Phase.detect}); deterministic.  The
+      pipeline's own detection reads the engine's recording instead
+      ([Schedule.run]). *)
 
   val run_app_segmented :
     ?config:config -> boundaries:int list -> Apps.Registry.t -> Sim.Machine.phased
   (** Like {!run_app} (bit-identical totals) but additionally carves
-      the profile at the given retired-instruction boundaries — the
-      per-phase measurement primitive. *)
+      the profile at the given retired-instruction boundaries: the
+      simulated reference for per-segment measurement, which the
+      engine answers from a recording. *)
 
   val run_app_phased :
     schedule:(int * config) list -> Apps.Registry.t -> Sim.Machine.phased
@@ -235,6 +238,13 @@ module type S = sig
       {!switch_cycles} at each boundary, once per repetition, plus the
       wrap-around switch back to the first configuration at each
       repetition boundary; caches follow [keep_caches_on_switch]. *)
+
+  val replay_app_phased :
+    schedule:(int * config) list -> Sim.Recording.t -> Sim.Machine.phased
+  (** {!run_app_phased} answered from a recording of the application on
+      the schedule's execution class, marked at its boundaries
+      ({!Sim.Machine.replay_phased}): bit-identical, without
+      simulating. *)
 
   val cycle_model : config -> Bounds.cycle_model
   (** The configuration's per-class cycle prices — the same shared

@@ -330,7 +330,9 @@ let run_app_segmented ?(config = base) ~boundaries (app : Apps.Registry.t) =
     ~shift_stall:(shift_stall config) ~boundaries (lower config)
     (Lazy.force app.Apps.Registry.program)
 
-let run_app_phased ~schedule (app : Apps.Registry.t) =
+(* A schedule [(start_insn, config)] as the lowered first configuration,
+   the switches and the wrap-around charge of {!Sim.Machine.run_phased}. *)
+let phased_run ~schedule k =
   match schedule with
   | [] -> invalid_arg "Target_microblaze.run_app_phased: empty schedule"
   | (s0, first) :: rest ->
@@ -348,12 +350,20 @@ let run_app_phased ~schedule (app : Apps.Registry.t) =
             :: switches c tl
       in
       let last = List.fold_left (fun _ (_, c) -> c) first rest in
-      Sim.Machine.run_phased ~reps:app.Apps.Registry.reps
-        ~shift_stall:(shift_stall first)
-        ~keep_caches:keep_caches_on_switch
+      k ~shift_stall:(shift_stall first) ~keep_caches:keep_caches_on_switch
         ~wrap_cycles:(switch_cycles last first)
         ~switches:(switches first rest) (lower first)
-        (Lazy.force app.Apps.Registry.program)
+
+let run_app_phased ~schedule (app : Apps.Registry.t) =
+  phased_run ~schedule (fun ~shift_stall ~keep_caches ~wrap_cycles ~switches first ->
+      Sim.Machine.run_phased ~reps:app.Apps.Registry.reps ~shift_stall
+        ~keep_caches ~wrap_cycles ~switches first
+        (Lazy.force app.Apps.Registry.program))
+
+let replay_app_phased ~schedule recording =
+  phased_run ~schedule (fun ~shift_stall ~keep_caches ~wrap_cycles ~switches first ->
+      Sim.Machine.replay_phased ~shift_stall ~keep_caches ~wrap_cycles ~switches
+        recording first)
 
 let run_program ?mem_size config prog =
   Sim.Machine.run ?mem_size ~shift_stall:(shift_stall config) (lower config)

@@ -25,6 +25,17 @@ let to_string e =
   then Buffer.add_char b '\n';
   Buffer.contents b
 
+let prepare dir =
+  match
+    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+    if not (Sys.is_directory dir) then raise (Sys_error "not a directory");
+    (* a directory that takes no file would only fail after a shrink *)
+    Sys.remove (Filename.temp_file ~temp_dir:dir "probe" ".repro")
+  with
+  | () -> Ok ()
+  | exception Sys_error m ->
+      Error (Printf.sprintf "cannot use corpus directory %s: %s" dir m)
+
 let write ~dir e =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let path = Filename.concat dir (filename e) in

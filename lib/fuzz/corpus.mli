@@ -30,6 +30,10 @@ val to_string : entry -> string
 
 val of_string : string -> (entry, string) result
 
+val prepare : string -> (unit, string) result
+(** Create the directory if missing and check that a file can be
+    written in it; [Error] says why not. *)
+
 val write : dir:string -> entry -> string
 (** Persist under [dir] (created if missing); returns the path. *)
 

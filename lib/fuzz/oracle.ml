@@ -1029,23 +1029,25 @@ let engine_matches (type c) (module T : Dse.Target.S with type config = c)
   let cost, priced = Dse.Engine.eval_profiled_on engine T.probe app config in
   same_seconds at cost.Dse.Cost.seconds seconds;
   same at priced profile;
+  (* segments are unions of windows: the cuts fall on window marks *)
   let insns = profile.Sim.Profiler.instructions / app.Apps.Registry.reps in
+  let window = max 1 (insns / 16) in
   let boundaries =
     List.filter
       (fun b -> b > 0 && b < insns)
-      (List.sort_uniq compare (List.map (fun c -> c * insns / 1000) cuts))
+      (List.sort_uniq compare
+         (List.map (fun c -> c * insns / 1000 / window * window) cuts))
   in
   let simulated = T.run_app_segmented ~config ~boundaries app in
   let seconds = Sim.Machine.seconds simulated.Sim.Machine.result in
   let whole = simulated.Sim.Machine.result.Sim.Machine.profile in
   let phases = simulated.Sim.Machine.phase_profiles in
-  let segmented app config =
-    ignore (T.run_app_segmented ~config ~boundaries app)
+  let at =
+    Printf.sprintf "%s segmented at [%s]" at
+      (String.concat "," (List.map string_of_int boundaries))
   in
-  let phase = String.concat "," (List.map string_of_int boundaries) in
-  let at = Printf.sprintf "%s segmented at [%s]" at phase in
   (match
-     Dse.Engine.eval_all_segments_on engine T.probe ~phase ~segmented app
+     Dse.Engine.eval_all_segments_on engine T.probe ~window ~boundaries app
        [ config ]
    with
   | [ (cost, segments) ] ->
@@ -1165,6 +1167,147 @@ let engine_vs_simulated =
           true);
     }
 
+(* One recording answers what the pipeline asks of its class, each by
+   a shortcut: a captured run replays its warm epoch instead of
+   simulating it, the engine detects phases from the recording's
+   windows (summed into coarser ones), and a schedule is verified by
+   replaying it.  Each must equal the simulation field for field. *)
+let recording_matches (type c) (module T : Dse.Target.S with type config = c)
+    (config : c) (other : c) ~window ~k app =
+  let fail fmt = T2.fail_reportf ("%s: " ^^ fmt) T.name in
+  let same what (a : Sim.Profiler.t) (b : Sim.Profiler.t) =
+    List.iter2
+      (fun (field, x) (_, y) ->
+        if x <> y then fail "%s: %s = %d from the recording, %d simulated" what field x y)
+      (Sim.Profiler.to_assoc a) (Sim.Profiler.to_assoc b)
+  in
+  let same_result what (a : Sim.Machine.result) (b : Sim.Machine.result) =
+    same what a.Sim.Machine.profile b.Sim.Machine.profile;
+    if a.Sim.Machine.cold_cycles <> b.Sim.Machine.cold_cycles
+       || a.Sim.Machine.warm_cycles <> b.Sim.Machine.warm_cycles
+       || a.Sim.Machine.checksum <> b.Sim.Machine.checksum
+    then
+      fail "%s: cold/warm cycles %d/%d, checksum %d from the recording; %d/%d, %d simulated"
+        what a.Sim.Machine.cold_cycles a.Sim.Machine.warm_cycles
+        a.Sim.Machine.checksum b.Sim.Machine.cold_cycles
+        b.Sim.Machine.warm_cycles b.Sim.Machine.checksum
+  in
+  (* a captured run: the cold epoch simulated, the warm one replayed *)
+  let plain = T.run_app ~config app in
+  let captured, _ = Sim.Recording.capture ~window (fun () -> T.run_app ~config app) in
+  same_result "captured run" captured plain;
+  let seconds, profile = T.probe.Dse.Target.simulate app config in
+  let (seconds', profile'), _ =
+    Sim.Recording.capture ~window (fun () -> T.probe.Dse.Target.simulate app config)
+  in
+  if Int64.bits_of_float seconds <> Int64.bits_of_float seconds' then
+    fail "captured probe.simulate: %h seconds, %h outside" seconds' seconds;
+  same "captured probe.simulate" profile' profile;
+  (* detection from the engine's recording, at its window and at [k]
+     windows per observation *)
+  let engine = Dse.Engine.create () in
+  let detect window =
+    let options =
+      { Sim.Phase.default_options with Sim.Phase.window; min_windows = 2; max_phases = 6 }
+    in
+    let recorded =
+      Sim.Phase.split options (Dse.Engine.windows_on engine T.probe app ~window T.base)
+    in
+    let simulated = T.detect_phases ~options app in
+    if recorded <> simulated then
+      fail "window %d: detection from the recording (%d phases, %s) differs from \
+            Sim.Phase.detect (%d phases, %s)"
+        window (Sim.Phase.count recorded) (Sim.Phase.digest recorded)
+        (Sim.Phase.count simulated) (Sim.Phase.digest simulated);
+    simulated
+  in
+  let phases = detect window in
+  ignore (detect (k * window));
+  (* a schedule alternating the two configurations at window marks *)
+  let boundaries =
+    match Sim.Phase.boundaries phases with
+    | [] -> if window < phases.Sim.Phase.total_insns then [ window ] else []
+    | bs -> bs
+  in
+  let schedule =
+    List.mapi (fun i b -> (b, if i mod 2 = 0 then config else other)) (0 :: boundaries)
+  in
+  let replayed =
+    T.replay_app_phased ~schedule
+      (Dse.Engine.recording_on engine T.probe app ~window (List.map snd schedule))
+  in
+  let simulated = T.run_app_phased ~schedule app in
+  same_result "replayed schedule" replayed.Sim.Machine.result
+    simulated.Sim.Machine.result;
+  if replayed.Sim.Machine.switch_cycles <> simulated.Sim.Machine.switch_cycles then
+    fail "replayed schedule: %d switch cycles, %d simulated"
+      replayed.Sim.Machine.switch_cycles simulated.Sim.Machine.switch_cycles;
+  List.iteri
+    (fun i (a, b) -> same (Printf.sprintf "replayed schedule phase %d" i) a b)
+    (List.combine replayed.Sim.Machine.phase_profiles
+       simulated.Sim.Machine.phase_profiles)
+
+let recording_vs_simulated =
+  let gen =
+    let open QCheck2.Gen in
+    let* p = Gen.program in
+    let* depth = int_range 0 11 in
+    let p = with_recursion p ~depth in
+    let* leon2 = Gen.config in
+    let* leon2' = Gen.config in
+    let* mb = Gen.mb_config in
+    let* mb' = Gen.mb_config in
+    let* reps = int_range 1 3 in
+    let* window = int_range 16 512 in
+    let+ k = int_range 1 4 in
+    (p, (leon2, leon2', mb, mb'), reps, window, k)
+  in
+  T
+    {
+      name = "recording-vs-simulated";
+      doc =
+        "a captured run's replayed warm epoch, phase detection from the \
+         engine's recording and a replayed schedule equal simulation (LEON2 \
+         and MicroBlaze)";
+      gen;
+      print =
+        (fun (p, (leon2, leon2', mb, mb'), reps, window, k) ->
+          Printf.sprintf
+            "// leon2: %s | %s\n// microblaze: %s | %s\n// reps: %d, window: \
+             %d, coarse windows: %d\n%s"
+            (Gen.print_config leon2) (Gen.print_config leon2')
+            (Gen.print_mb_config mb) (Gen.print_mb_config mb') reps window k
+            (Gen.print_program p));
+      prop =
+        (fun (p, (leon2, leon2', mb, mb'), reps, window, k) ->
+          checked p;
+          let app =
+            {
+              Apps.Registry.name = "fuzz";
+              description = "generated program";
+              source = p;
+              program = Lazy.from_val (Minic.Codegen.compile p);
+              reps;
+              paper_base_seconds = Float.nan;
+            }
+          in
+          (* a schedule's configurations share the register-window
+             count, which cannot switch at runtime *)
+          let leon2' =
+            {
+              leon2' with
+              Arch.Config.iu =
+                {
+                  leon2'.Arch.Config.iu with
+                  Arch.Config.reg_windows = leon2.Arch.Config.iu.Arch.Config.reg_windows;
+                };
+            }
+          in
+          recording_matches (module Dse.Target_leon2) leon2 leon2' ~window ~k app;
+          recording_matches (module Dse.Target_microblaze) mb mb' ~window ~k app;
+          true);
+    }
+
 let all =
   [
     interp_vs_sim;
@@ -1185,6 +1328,7 @@ let all =
     phase_determinism;
     segmented_vs_plain;
     engine_vs_simulated;
+    recording_vs_simulated;
   ]
 
 let find n = List.find_opt (fun o -> name o = n) all

@@ -116,14 +116,29 @@ val segmented_vs_plain : t
 val engine_vs_simulated : t
 (** Random program x random LEON2 and MicroBlaze configurations (cache
     geometry and policy, price-only fields, window count) x 1-3 reps x
-    0-3 segment boundaries: on a fresh {!Dse.Engine}, the whole-run
-    answer equals {!Dse.Target.probe}'s [simulate] and the segmented
-    answer equals {!Dse.Target.S.run_app_segmented}, field for field —
+    0-3 segment boundaries on window marks: on a fresh {!Dse.Engine},
+    the whole-run answer equals {!Dse.Target.probe}'s [simulate] and the
+    segmented answer equals {!Dse.Target.S.run_app_segmented}, field for
+    field —
     seconds, the profile and every phase profile.  On LEON2 a
     configuration at a random larger window count joins when the drawn
     one runs trap-free.  The identity behind the engine answering every
     evaluation from a recording of its execution class, replayed
     through its own caches and priced. *)
+
+val recording_vs_simulated : t
+(** Random program x two random LEON2 and two random MicroBlaze
+    configurations x 1-3 reps x a random window: a run inside
+    {!Sim.Recording.capture}, which replays its warm epoch instead of
+    simulating it, returns what the same run outside one returns, field
+    for field ([probe.simulate]'s seconds and profile too); phase
+    detection from the engine's recording ({!Dse.Engine.windows_on},
+    at the window and at 1-4 windows per observation) equals
+    {!Sim.Phase.detect}; and a schedule alternating the two
+    configurations at window marks replays
+    ({!Dse.Target.S.replay_app_phased}) to exactly
+    {!Dse.Target.S.run_app_phased}'s result, phase profiles and switch
+    cycles. *)
 
 val all : t list
 val find : string -> t option

@@ -88,6 +88,12 @@ let run ?(names = []) ?corpus_dir ~seed ~budget ppf =
                (String.concat ", " missing))
         else Ok (List.filter_map Oracle.find names)
   in
+  (* the corpus directory is checked before any oracle runs *)
+  let selected =
+    match corpus_dir with
+    | None -> selected
+    | Some dir -> Result.bind selected (fun o -> Result.map (fun () -> o) (Corpus.prepare dir))
+  in
   Result.map
     (fun oracles ->
       let reports =

@@ -26,8 +26,9 @@ val run :
 (** Run every oracle (or just [names]) for [budget] trials each,
     printing one status line per oracle and full shrunk
     counterexamples for failures.  With [corpus_dir], each failure is
-    persisted as an open corpus entry.  [Error] only on unknown oracle
-    names. *)
+    persisted as an open corpus entry.  [Error], before any oracle
+    runs, on unknown oracle names or a corpus directory that cannot be
+    created or written. *)
 
 type replay_result =
   | Fixed  (** no longer reproduces *)

@@ -648,11 +648,27 @@ let run ?(max_insns = 200_000_000) t =
   guarded t @@ fun () ->
   let budget = ref max_insns in
   let continue = ref (not t.halted) in
-  while !continue do
-    if !budget <= 0 then error "instruction budget exhausted";
-    decr budget;
-    continue := step_unchecked t
-  done
+  match t.recorder with
+  | None ->
+      while !continue do
+        if !budget <= 0 then error "instruction budget exhausted";
+        decr budget;
+        continue := step_unchecked t
+      done
+  | Some r ->
+      (* a recorded run marks a window at every multiple of the
+         recorder's window that it runs past *)
+      let window = Recording.window r in
+      let next = ref window in
+      while !continue do
+        if !budget <= 0 then error "instruction budget exhausted";
+        decr budget;
+        continue := step_unchecked t;
+        if !continue && t.prof.Profiler.instructions = !next then begin
+          Recording.mark r ~pc:t.pc ~profile:t.prof;
+          next := !next + window
+        end
+      done
 
 (* Run until the profiler has retired [insns] instructions in total
    (each step retires exactly one), or the program halts first. *)
@@ -673,13 +689,10 @@ let program t = t.prog
 let icache t = t.icache
 let dcache t = t.dcache
 
-let mark_boundary t =
-  Option.iter (fun r -> Recording.boundary r ~pc:t.pc) t.recorder
-
 let stop_recording t =
   Option.iter
     (fun r ->
-      Recording.seal r ~pc:t.pc;
+      Recording.seal r ~pc:t.pc ~profile:t.prof;
       t.recorder <- None;
       t.handlers <- t.plain)
     t.recorder

@@ -38,7 +38,8 @@ val create :
     without a barrel shifter (e.g. the MicroBlaze-like target) iterate
     shifts instead of resolving them in one cycle.  With [recorder],
     execution feeds it the reference stream (fetch redirects, loads,
-    stores, window spills and fills) until {!stop_recording}.
+    stores, window spills and fills), and {!run} marks its windows,
+    until {!stop_recording}.
     @raise Invalid_argument if the configuration is invalid. *)
 
 val reinit : t -> unit
@@ -64,7 +65,9 @@ val step : t -> bool
     @raise Error on malformed execution, memory faults included. *)
 
 val run : ?max_insns:int -> t -> unit
-(** Run to [Halt].
+(** Run to [Halt].  A recording machine calls {!Recording.mark} each
+    time the retired-instruction count reaches a multiple of the
+    recorder's window before the halt.
     @raise Error if the budget (default 2e8) runs out, or on malformed
     execution, memory faults included. *)
 
@@ -80,13 +83,9 @@ val result : t -> int
 (** Value of %o0 in the current window — by convention the program's
     checksum at [Halt]. *)
 
-val mark_boundary : t -> unit
-(** Tell the recorder, if any, that a segment boundary falls before the
-    next instruction. *)
-
 val stop_recording : t -> unit
-(** Seal the recorder, if any, at the current pc and go back to the
-    plain handlers. *)
+(** Seal the recorder, if any, at the current pc with the current
+    profile, and go back to the plain handlers. *)
 
 val read_reg : t -> Isa.Reg.t -> int
 val write_reg : t -> Isa.Reg.t -> int -> unit

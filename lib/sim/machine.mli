@@ -9,11 +9,21 @@
     [cold + (reps - 1) * warm] — a faithful model of a long run at a
     tiny fraction of the simulation cost.
 
-    Every run flushes its profile into the [sim.*] counters: [sim.runs]
-    counts runs, [sim.cycles] their reps-scaled cycles and
+    A run inside {!Recording.capture} records its cold epoch, marked
+    into the capture's windows, and simulates nothing more: every
+    execution runs the cold epoch's reference stream again, so the
+    warm epoch is the cold epoch's counts with the misses of its own
+    caches' warm replay ({!Recording.own}), priced by
+    {!Cost_model.price} under the run's cost table.  The result equals
+    the full simulation's field for field; the cold/warm checksum
+    comparison runs only outside a capture, and inside one the replay
+    of the run's own caches must reproduce the simulated cold epoch's
+    misses window by window instead.
+
+    Every simulated run flushes its profile into the [sim.*] counters:
+    [sim.runs] counts runs, [sim.cycles] their reps-scaled cycles and
     [sim.executed_cycles] the cycles actually simulated (the cold
-    epoch, plus the warm one when [reps > 1]).  A run inside
-    {!Recording.capture} also records its cold epoch. *)
+    epoch, plus the warm one when [reps > 1] outside a capture). *)
 
 type result = {
   profile : Profiler.t;   (** scaled to [reps] executions *)
@@ -36,7 +46,9 @@ val run :
 (** [shift_stall] is forwarded to {!Cpu.create} (default 0: barrel
     shifter present, as on LEON2).
     @raise Cpu.Error on execution errors
-    @raise Failure if cold and warm checksums disagree. *)
+    @raise Failure if cold and warm checksums disagree, or inside a
+    capture if the replay of the run's caches disagrees with its
+    simulation. *)
 
 val seconds : result -> float
 (** Scaled runtime in seconds at {!clock_hz}. *)
@@ -105,10 +117,26 @@ val run_segmented :
     bit-identical to {!run} and [phase_profiles] carves it into
     per-phase deltas.  Used for per-phase measurement. *)
 
+val replay_phased :
+  ?shift_stall:int ->
+  ?keep_caches:bool ->
+  ?wrap_cycles:int ->
+  switches:switch list ->
+  Recording.t ->
+  Arch.Config.t ->
+  phased
+(** {!run_phased} without simulating: [replay_phased ~switches recording
+    first] answers from a recording of the same program on a
+    configuration of the same execution class as every configuration
+    of the schedule (same instruction and address stream).  The phases'
+    event counts are the recording's, each cache is replayed through
+    the switches that execute, and each phase is priced under the
+    configuration installed during it; switch charges are
+    {!run_phased}'s.  Bit-identical to {!run_phased}, counted by
+    [sim.replays], not [sim.runs].
+    @raise Invalid_argument if boundaries are not strictly increasing
+    or a boundary is not one of the recording's window marks inside the
+    execution. *)
+
 val run_once : ?mem_size:int -> Arch.Config.t -> Isa.Program.t -> Cpu.t
 (** Single cold execution, returning the machine for inspection. *)
-
-val trace_reads : ?mem_size:int -> Arch.Config.t -> Isa.Program.t -> int array
-(** One recorded cold execution, returning the byte addresses of its
-    program loads in order ({!Recording.loads}) — input for
-    {!Stackdist} miss-rate-curve prediction. *)

@@ -1,8 +1,9 @@
 (* Program-phase detection over windowed profiler deltas.
 
-   The detector runs one cold execution of the application on a fixed
-   reference configuration and snapshots the profiler every [window]
-   retired instructions.  Each window yields a small feature vector
+   The detector splits one cold execution of the application on a
+   fixed reference configuration into windows of [window] retired
+   instructions, as a recording marks them ({!Recording}).  Each
+   window yields a small feature vector
    (instruction mix plus cache behavior); a phase boundary opens where
    a full window's features diverge from the running aggregate of the
    current phase by more than [threshold] (L1 distance).  Everything
@@ -52,70 +53,64 @@ let distance a b =
   Array.iteri (fun i x -> d := !d +. abs_float (x -. b.(i))) a;
   !d
 
-let detect ?(options = default_options) ?shift_stall ?(mem_size = 1 lsl 20)
-    config prog =
+let check options =
   if options.window < 1 then invalid_arg "Phase.detect: window must be >= 1";
   if options.min_windows < 1 then
     invalid_arg "Phase.detect: min_windows must be >= 1";
   if options.max_phases < 1 then
-    invalid_arg "Phase.detect: max_phases must be >= 1";
-  let cpu = Cpu.create ?shift_stall config prog ~mem_size in
-  let prof = Cpu.profile cpu in
+    invalid_arg "Phase.detect: max_phases must be >= 1"
+
+let split options windows =
+  check options;
   let closed = ref [] in
   let nclosed = ref 0 in
-  (* open-phase state: start offset, profiler snapshot at phase start,
-     number of full windows accumulated so far *)
+  (* open-phase state: start offset, the sum of its windows, and how
+     many full windows it holds *)
   let phase_start = ref 0 in
-  let phase_snap = ref (Profiler.create ()) in
+  let phase = ref (Profiler.create ()) in
   let phase_windows = ref 0 in
-  (* profiler snapshot at the start of the current window *)
-  let window_snap = ref (Profiler.create ()) in
-  let running = ref true in
-  while !running do
-    let wstart = prof.Profiler.instructions in
-    Cpu.run_until cpu ~insns:(wstart + options.window);
-    let retired = prof.Profiler.instructions - wstart in
-    if retired = 0 then running := false
-    else begin
-      let now = Profiler.copy prof in
-      (* a partial (final) window never opens a phase: its features
-         are computed over too few instructions to be comparable *)
+  let wstart = ref 0 in
+  List.iter
+    (fun (w : Profiler.t) ->
+      let retired = w.Profiler.instructions in
+      (* a partial (final) window never opens a phase: its features are
+         computed over too few instructions to be comparable *)
       let split =
         retired = options.window
         && !phase_windows >= options.min_windows
         && !nclosed + 2 <= options.max_phases
-        &&
-        let w = Profiler.sub now !window_snap in
-        let agg = Profiler.sub !window_snap !phase_snap in
-        distance (features w) (features agg) > options.threshold
+        && distance (features w) (features !phase) > options.threshold
       in
       if split then begin
         closed :=
-          {
-            start_insn = !phase_start;
-            end_insn = wstart;
-            profile = Profiler.sub !window_snap !phase_snap;
-          }
+          { start_insn = !phase_start; end_insn = !wstart; profile = !phase }
           :: !closed;
         incr nclosed;
-        phase_start := wstart;
-        phase_snap := !window_snap;
+        phase_start := !wstart;
+        phase := w;
         phase_windows := 1
       end
-      else incr phase_windows;
-      window_snap := now;
-      if Cpu.halted cpu then running := false
-    end
-  done;
-  let total = prof.Profiler.instructions in
+      else begin
+        phase := Profiler.add !phase w;
+        incr phase_windows
+      end;
+      wstart := !wstart + retired)
+    windows;
   let final =
-    {
-      start_insn = !phase_start;
-      end_insn = total;
-      profile = Profiler.sub (Profiler.copy prof) !phase_snap;
-    }
+    { start_insn = !phase_start; end_insn = !wstart; profile = !phase }
   in
-  { options; total_insns = total; phases = List.rev (final :: !closed) }
+  { options; total_insns = !wstart; phases = List.rev (final :: !closed) }
+
+let detect ?(options = default_options) ?shift_stall ?mem_size config prog =
+  check options;
+  let _, recording =
+    Recording.capture ~window:options.window (fun () ->
+        Machine.run ?mem_size ?shift_stall config prog)
+  in
+  let icache, dcache = Recording.own recording in
+  split options
+    (Recording.segments recording ~icache ~dcache ~epoch:0
+       ~boundaries:(Recording.window_starts recording ~window:options.window))
 
 let count t = List.length t.phases
 

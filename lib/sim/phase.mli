@@ -1,7 +1,9 @@
 (** Program-phase detection over windowed profiler deltas.
 
     One cold execution on a reference configuration is carved into
-    fixed-size windows of retired instructions; each window yields a
+    fixed-size windows of retired instructions (the window marks of a
+    {!Recording}, so the engine detects from the recording it prices
+    every evaluation with); each window yields a
     feature vector (instruction mix + cache behavior) and a phase
     boundary opens where a window diverges from the running aggregate
     of the current phase.  Detection is deterministic: it is integer
@@ -33,6 +35,15 @@ type t = { options : options; total_insns : int; phases : phase list }
 (** Phases partition [0, total_insns) in order; there is always at
     least one phase. *)
 
+val split : options -> Profiler.t list -> t
+(** The detector itself: segment one cold execution given the profile
+    of each of its windows of [options.window] retired instructions,
+    in order (the last one possibly shorter).  A phase opens at a full
+    window whose features lie farther than [threshold] from those of
+    the open phase's windows, once that phase holds [min_windows]
+    windows, up to [max_phases] phases.
+    @raise Invalid_argument on nonsensical options. *)
+
 val detect :
   ?options:options ->
   ?shift_stall:int ->
@@ -40,7 +51,9 @@ val detect :
   Arch.Config.t ->
   Isa.Program.t ->
   t
-(** Run one cold execution and segment it.
+(** One cold execution, recorded with a window mark every
+    [options.window] retired instructions ({!Recording.capture}), then
+    {!split} over its windows.  Counted by [sim.runs].
     @raise Invalid_argument on nonsensical options.
     @raise Cpu.Error on execution errors. *)
 

@@ -6,21 +6,30 @@
    degenerate path agrees bit-exactly with the static optimizer, the
    schedule's verified runtime does not lose to the verified static
    pick (the dominance the formulation is built around), and each
-   schedule run on a cleared engine simulates every configuration at
-   most once. *)
+   schedule run on a cleared engine builds every configuration at most
+   once and simulates exactly once: the schedule dims are all cache
+   dims, so every configuration it detects, measures or verifies is of
+   one execution class, answered by one recording. *)
 
 let builds = Obs.Metrics.Counter.v "dse.builds"
+let runs = Obs.Metrics.Counter.v "sim.runs"
 
 (* [f ()] on a cleared engine with the journal on: no (app, config) may
-   get two [engine.build] events, and the events must account for
-   every build [dse.builds] counted. *)
+   get two [engine.build] events, the events must account for every
+   build [dse.builds] counted, and [sim.runs] must move by one. *)
 let built_once label f =
   Dse.Engine.clear (Dse.Engine.default ());
   Obs.Journal.clear ();
   Obs.Journal.set_enabled true;
   let b0 = Obs.Metrics.Counter.value builds in
+  let r0 = Obs.Metrics.Counter.value runs in
   let x = Fun.protect ~finally:(fun () -> Obs.Journal.set_enabled false) f in
   let moved = Obs.Metrics.Counter.value builds - b0 in
+  let simulated = Obs.Metrics.Counter.value runs - r0 in
+  if simulated <> 1 then (
+    Printf.eprintf "%s: sim.runs moved by %d in one schedule run, expected 1\n"
+      label simulated;
+    exit 1);
   let built =
     List.filter_map
       (fun (e : Obs.Journal.event) ->

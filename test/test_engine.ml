@@ -237,10 +237,8 @@ let test_fig2_sweep_build_count () =
 
 (* Per-phase measurement of arith split at one boundary, the primitive
    [Schedule.run] hands the engine. *)
-let seg_phase = "test:500"
-
-let segmented app config =
-  ignore (Dse.Target_leon2.run_app_segmented ~config ~boundaries:[ 500 ] app)
+let window = 500
+let boundaries = [ 500 ]
 
 let test_segments_serve_whole_run () =
   let app = Apps.Registry.arith in
@@ -248,11 +246,11 @@ let test_segments_serve_whole_run () =
   let c3 = config_of_seed 3 in
   let e = Dse.Engine.create () in
   ignore
-    (Dse.Engine.eval_all_segments_on e probe ~phase:seg_phase ~segmented app
+    (Dse.Engine.eval_all_segments_on e probe ~window ~boundaries app
        [ c1; c2; c1; c3 ]);
   ignore
-    (Dse.Engine.eval_all_segments_on ~noise:0.005 e probe ~phase:seg_phase
-       ~segmented app [ c2 ]);
+    (Dse.Engine.eval_all_segments_on ~noise:0.005 e probe ~window ~boundaries
+       app [ c2 ]);
   let lookups = [ (None, c1); (None, c2); (None, c3); (Some 0.005, c2) ] in
   let n = List.length lookups in
   let before = Obs.Metrics.snapshot () in
@@ -313,7 +311,7 @@ let test_segments_keep_whole_run () =
   check_bool "unfit query is None" true
     (Dse.Engine.eval_feasible_on e probe app unfit = None);
   ignore
-    (Dse.Engine.eval_all_segments_on e doubled ~phase:seg_phase ~segmented
+    (Dse.Engine.eval_all_segments_on e doubled ~window ~boundaries
        app [ built; absent; unfit ]);
   let before = Obs.Metrics.snapshot () in
   let built' = Dse.Engine.eval_on e probe app built in
@@ -589,6 +587,140 @@ let test_replay_work_independent_of_workers () =
 
 (* --- Pool --- *)
 
+(* --- Request sequences: timing-free counting, bounded retention --- *)
+
+(* A small kernel under many application names: each name is its own
+   application to the engine, with its own recording and memo. *)
+let kernel =
+  lazy
+    (Minic.Codegen.compile
+       (Minic.Parser.parse_exn
+          {|
+int xs[256];
+int main() {
+  int k, acc;
+  acc = 0;
+  k = 0;
+  while (k < 256) {
+    xs[k] = (k * 37) & 255;
+    acc = (acc + xs[k] * xs[(k * 5) & 255]) & 0xFFFFFF;
+    k = k + 1;
+  }
+  return acc;
+}
+|}))
+
+let app_named name =
+  {
+    Apps.Registry.name;
+    description = "small kernel";
+    source = Minic.Ast.{ globals = []; funcs = [] };
+    program = Lazy.from_val (Lazy.force kernel);
+    reps = 3;
+    paper_base_seconds = Float.nan;
+  }
+
+(* What [Optimizer.run] asks of the engine for one application: a model
+   build — base, then every row with its reference on the engine's
+   pool, coupled rows looking up their reference inside the batch — and
+   a verification of a two-variable pick. *)
+let model_and_verify (type c) (module T : Dse.Target.S with type config = c) e
+    app =
+  let base = Dse.Engine.eval_on e T.probe app T.base in
+  let rows =
+    Dse.Engine.map e
+      (fun (v : T.var) ->
+        let reference = T.reference_config v in
+        let cost = Dse.Engine.eval_on e T.probe app (v.T.apply reference) in
+        if T.equal reference T.base then (cost, base)
+        else (cost, Dse.Engine.eval_on e T.probe app reference))
+      T.vars
+  in
+  let pick = T.apply_all T.base [ T.var 1; T.var (T.var_count - 1) ] in
+  (base, rows, Dse.Engine.eval_on e T.probe app pick)
+
+let both e app =
+  ( model_and_verify (module Dse.Target_leon2) e app,
+    model_and_verify (module Dse.Target_microblaze) e app )
+
+(* Enough applications to take the memo past its budget. *)
+let evicting = 120
+
+let engine_counters =
+  [
+    "dse.engine.hits"; "dse.engine.misses"; "dse.engine.inflight_dedup";
+    "dse.engine.priced"; "dse.engine.evictions"; "dse.builds"; "sim.runs";
+  ]
+
+(* One request sequence — a model build and a verification of two
+   registry applications on both targets, then [evicting] more
+   applications — on 1, 2 and 4 workers: every counter, and every
+   answer, must be equal. *)
+let test_counters_independent_of_workers () =
+  let sequence workers =
+    let pool = Dse.Pool.create ~workers () in
+    Fun.protect
+      ~finally:(fun () -> Dse.Pool.shutdown pool)
+      (fun () ->
+        let e = Dse.Engine.create ~pool () in
+        let before = Obs.Metrics.snapshot () in
+        let answers =
+          List.map (both e)
+            ([ Apps.Registry.arith; Apps.Extra.qsort ]
+            @ List.init evicting (fun i -> app_named (Printf.sprintf "k%d" i)))
+        in
+        let after = Obs.Metrics.snapshot () in
+        (answers, List.map (delta before after) engine_counters))
+  in
+  let answers1, counts1 = sequence 1 in
+  check_bool "the sequence evicts" true
+    (List.nth counts1 4 > 0);
+  check_bool "inside-batch lookups counted as dedups" true
+    (List.nth counts1 2 > 0);
+  List.iter
+    (fun workers ->
+      let answers, counts = sequence workers in
+      check_bool (Printf.sprintf "same answers on %d workers" workers) true
+        (compare answers answers1 = 0);
+      List.iter2
+        (fun name (a, b) ->
+          check_int (Printf.sprintf "%s on 1 and %d workers" name workers) a b)
+        engine_counters (List.combine counts1 counts))
+    [ 2; 4 ]
+
+(* More applications than the budget holds: the least recently used go,
+   counted, the memo stays within its budget, and an evicted
+   application's answers come back bit for bit. *)
+let test_retention_bounded () =
+  let e = Dse.Engine.create () in
+  let first = app_named "first" in
+  let before = Obs.Metrics.snapshot () in
+  let answers = both e first in
+  let kept = Dse.Engine.retained_bytes e in
+  check_bool "one application fits easily" true
+    (kept > 0 && kept < Dse.Engine.budget_bytes / 8);
+  for i = 1 to evicting do
+    ignore (both e (app_named (Printf.sprintf "k%d" i)))
+  done;
+  let mid = Obs.Metrics.snapshot () in
+  check_bool "applications evicted" true
+    (delta before mid "dse.engine.evictions" > 0);
+  check_bool "retained bytes within the budget" true
+    (Dse.Engine.retained_bytes e <= Dse.Engine.budget_bytes);
+  let again = both e first in
+  let after = Obs.Metrics.snapshot () in
+  check_bool "the evicted application was recomputed" true
+    (delta mid after "dse.engine.misses" > 0);
+  check_bool "recomputed answers are bit-identical" true
+    (compare answers again = 0);
+  (* a recently used application survives *)
+  let last = app_named (Printf.sprintf "k%d" evicting) in
+  let before = Obs.Metrics.snapshot () in
+  ignore (both e last);
+  let after = Obs.Metrics.snapshot () in
+  check_int "the latest application is all hits" 0
+    (delta before after "dse.engine.misses")
+
 let test_pool_map_order () =
   let pool = Dse.Pool.create ~workers:3 () in
   Fun.protect
@@ -744,6 +876,9 @@ let () =
             test_cache_shapes_replayed;
           Alcotest.test_case "recordings kept for one application" `Quick
             test_recordings_retained_per_app;
+          Alcotest.test_case "counters independent of workers" `Quick
+            test_counters_independent_of_workers;
+          Alcotest.test_case "retention bounded" `Quick test_retention_bounded;
           Alcotest.test_case "replay work independent of workers" `Quick
             test_replay_work_independent_of_workers;
         ] );

@@ -139,20 +139,6 @@ let test_single_set_fully_assoc () =
   check_bool "A survives" true (Sim.Cache.read c 0);
   check_bool "B was evicted" false (Sim.Cache.read c 1024)
 
-let test_single_set_lru_is_stackdist () =
-  (* A single-set LRU cache of W ways is exactly the fully-associative
-     LRU model that stack-distance analysis computes. *)
-  QCheck.Test.check_exn
-    (QCheck.Test.make ~count:200 ~name:"single-set LRU = stack distance"
-       QCheck.(pair (int_range 1 4) (list (int_bound 0x3FFF)))
-       (fun (ways, addrs) ->
-         let c = mk_cache ~ways ~way_kb:1 ~line_words:256 ~repl:Arch.Config.Lru () in
-         List.iter (fun a -> ignore (Sim.Cache.read c a)) addrs;
-         let trace = Array.of_list addrs in
-         let sd = Sim.Stackdist.analyze ~line_bytes:1024 trace in
-         (Sim.Cache.stats c).Sim.Cache.read_misses
-         = Sim.Stackdist.misses sd ~lines:ways))
-
 let test_direct_mapped_policy_irrelevant () =
   (* With one way the victim is forced, so every replacement policy
      must produce an identical miss stream. *)
@@ -182,28 +168,7 @@ let test_associativity_vs_capacity () =
   ignore (Sim.Cache.read assoc 2048);
   check_bool "2-way holds both" true (Sim.Cache.read assoc 0)
 
-(* --- Stack-distance analysis --- *)
-
-let test_stackdist_hand_trace () =
-  (* Lines (16-byte): A B A C B A  ->
-     distances: A inf, B inf, A 1 (B between), C inf, B 1 (C since
-     last B... A,C accessed after first B -> distance 2), A 2 (C,B). *)
-  let a = 0x000 and b = 0x010 and c = 0x020 in
-  let sd = Sim.Stackdist.analyze ~line_bytes:16 [| a; b; a; c; b; a |] in
-  check_int "accesses" 6 (Sim.Stackdist.accesses sd);
-  check_int "cold misses" 3 (Sim.Stackdist.cold_misses sd);
-  (* capacity 1 line: every non-consecutive reuse misses *)
-  check_int "capacity 1" 6 (Sim.Stackdist.misses sd ~lines:1);
-  (* capacity 2: hits only the distance-1 reuse (A at index 2) *)
-  check_int "capacity 2" 5 (Sim.Stackdist.misses sd ~lines:2);
-  (* capacity 3: all reuses hit *)
-  check_int "capacity 3" 3 (Sim.Stackdist.misses sd ~lines:3);
-  check_int "working set" 2 (Sim.Stackdist.max_distance sd)
-
-let test_stackdist_same_line () =
-  let sd = Sim.Stackdist.analyze ~line_bytes:16 [| 0; 4; 8; 12 |] in
-  check_int "one cold miss" 1 (Sim.Stackdist.cold_misses sd);
-  check_int "rest hit even in 1 line" 1 (Sim.Stackdist.misses sd ~lines:1)
+(* --- Fully-associative LRU reference --- *)
 
 (* Naive fully-associative LRU reference. *)
 let naive_lru_misses ~line_bytes ~lines trace =
@@ -233,48 +198,17 @@ let naive_lru_misses ~line_bytes ~lines trace =
     trace;
   !misses
 
-let test_stackdist_vs_naive_lru () =
+let test_single_set_lru_is_naive_lru () =
+  (* A single-set LRU cache of W ways is exactly a fully-associative LRU
+     cache of W lines. *)
   QCheck.Test.check_exn
-    (QCheck.Test.make ~count:200 ~name:"stack distance = naive LRU misses"
-       QCheck.(pair (int_range 1 6) (list_of_size (QCheck.Gen.int_range 1 60) (int_bound 0x1FF)))
-       (fun (lines, addrs) ->
-         let trace = Array.of_list addrs in
-         let sd = Sim.Stackdist.analyze ~line_bytes:16 trace in
-         Sim.Stackdist.misses sd ~lines
-         = naive_lru_misses ~line_bytes:16 ~lines trace))
-
-let test_stackdist_monotone () =
-  let trace =
-    Array.init 500 (fun k -> (k * 37 mod 253) * 16)
-  in
-  let sd = Sim.Stackdist.analyze ~line_bytes:16 trace in
-  let prev = ref max_int in
-  List.iter
-    (fun lines ->
-      let m = Sim.Stackdist.misses sd ~lines in
-      check_bool "misses nonincreasing in capacity" true (m <= !prev);
-      prev := m)
-    [ 1; 2; 4; 8; 16; 32; 64; 128; 256 ];
-  check_int "large cache leaves only cold misses"
-    (Sim.Stackdist.cold_misses sd)
-    (Sim.Stackdist.misses sd ~lines:1024)
-
-let test_trace_capture () =
-  (* Machine.trace_reads captures exactly the load addresses. *)
-  let a = Isa.Asm.create () in
-  let buf = Isa.Asm.data_words a ~name:"w" [| 1; 2; 3; 4 |] in
-  Isa.Asm.set32 a buf (Isa.Reg.o 1);
-  for k = 0 to 3 do
-    Isa.Asm.emit a
-      (Isa.Insn.Load { width = Isa.Insn.Word; signed = false; rd = Isa.Reg.o 0;
-                       rs1 = Isa.Reg.o 1; op2 = Isa.Insn.Imm (4 * k) })
-  done;
-  Isa.Asm.emit a Isa.Insn.Halt;
-  let p = Isa.Asm.finish a ~entry:0 in
-  let trace = Sim.Machine.trace_reads ~mem_size:(1 lsl 16) Arch.Config.base p in
-  Alcotest.(check (array int)) "trace"
-    [| buf; buf + 4; buf + 8; buf + 12 |]
-    trace
+    (QCheck.Test.make ~count:200 ~name:"single-set LRU = naive LRU"
+       QCheck.(pair (int_range 1 4) (list (int_bound 0x3FFF)))
+       (fun (ways, addrs) ->
+         let c = mk_cache ~ways ~way_kb:1 ~line_words:256 ~repl:Arch.Config.Lru () in
+         List.iter (fun a -> ignore (Sim.Cache.read c a)) addrs;
+         (Sim.Cache.stats c).Sim.Cache.read_misses
+         = naive_lru_misses ~line_bytes:1024 ~lines:ways (Array.of_list addrs)))
 
 (* --- Recording and replay --- *)
 
@@ -282,17 +216,19 @@ let test_trace_capture () =
    and fills besides loads and stores. *)
 let qsort = Lazy.force Apps.Extra.qsort.Apps.Registry.program
 
-let recorded ~reps ~boundaries config =
-  Sim.Recording.capture (fun () ->
-      Sim.Machine.run_segmented ~reps ~boundaries config qsort)
+let recorded ~reps config =
+  Sim.Recording.capture ~window:100 (fun () -> Sim.Machine.run ~reps config qsort)
 
-let replayed recording (config : Arch.Config.t) =
-  Sim.Recording.profiles recording
-    ~icache:
-      (Sim.Recording.replay recording Sim.Cache.Instruction
-         config.Arch.Config.icache)
-    ~dcache:
-      (Sim.Recording.replay recording Sim.Cache.Data config.Arch.Config.dcache)
+(* Per segment, the replayed profile priced for [config]. *)
+let replayed recording ~boundaries (config : Arch.Config.t) =
+  List.map
+    (Sim.Cost_model.price (Sim.Cost_model.of_arch_config config))
+    (Sim.Recording.profiles recording ~boundaries
+       ~icache:
+         (Sim.Recording.replay recording Sim.Cache.Instruction
+            config.Arch.Config.icache)
+       ~dcache:
+         (Sim.Recording.replay recording Sim.Cache.Data config.Arch.Config.dcache))
 
 (* A packed profile unpacks to itself, at any offset, whatever its
    counters (negative ones included). *)
@@ -331,12 +267,16 @@ let test_profile_pack_roundtrip =
       Sim.Profiler.unpack (Buffer.contents b) ~pos:offset = p)
 
 let test_replay_own_caches () =
-  let ph, recording = recorded ~reps:3 ~boundaries:[ 1000; 5000 ] base in
-  check_int "three segments" 3 (List.length (replayed recording base));
+  let boundaries = [ 1000; 5000 ] in
+  let r, recording = recorded ~reps:3 base in
+  let simulated = Sim.Machine.run_segmented ~reps:3 ~boundaries base qsort in
+  check_bool "the captured run = the simulated run" true
+    (r = simulated.Sim.Machine.result);
+  check_int "three segments" 3 (List.length (replayed recording ~boundaries base));
   check_bool "the run traps" true
-    (ph.Sim.Machine.result.Sim.Machine.profile.Sim.Profiler.window_overflows > 0);
+    (r.Sim.Machine.profile.Sim.Profiler.window_overflows > 0);
   check_bool "replaying its own caches gives back its phase profiles" true
-    (replayed recording base = ph.Sim.Machine.phase_profiles)
+    (replayed recording ~boundaries base = simulated.Sim.Machine.phase_profiles)
 
 let test_replay_other_geometry () =
   let small ways repl =
@@ -350,14 +290,16 @@ let test_replay_other_geometry () =
     }
   in
   let boundaries = [ 700 ] in
-  let _, recording = recorded ~reps:2 ~boundaries base in
+  let _, recording = recorded ~reps:2 base in
   let simulated =
     Sim.Machine.run_segmented ~reps:2 ~boundaries other qsort
   in
-  let cm = Sim.Cost_model.of_arch_config other in
   check_bool "priced replay = simulated phase profiles" true
-    (List.map (Sim.Cost_model.price cm) (replayed recording other)
-    = simulated.Sim.Machine.phase_profiles)
+    (replayed recording ~boundaries other = simulated.Sim.Machine.phase_profiles);
+  check_bool "a boundary off the window marks is refused" true
+    (match replayed recording ~boundaries:[ 750 ] other with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 (* --- CPU: assembly helpers --- *)
 
@@ -883,20 +825,12 @@ let () =
           Alcotest.test_case "stats sanity (qcheck)" `Quick test_fills_equal_misses_qcheck;
           Alcotest.test_case "capacity steady state" `Quick test_lru_capacity_property;
           Alcotest.test_case "single-set fully assoc" `Quick test_single_set_fully_assoc;
-          Alcotest.test_case "single-set LRU = stackdist (qcheck)" `Quick
-            test_single_set_lru_is_stackdist;
+          Alcotest.test_case "single-set LRU = naive LRU (qcheck)" `Quick
+            test_single_set_lru_is_naive_lru;
           Alcotest.test_case "direct-mapped ignores policy (qcheck)" `Quick
             test_direct_mapped_policy_irrelevant;
           Alcotest.test_case "associativity vs capacity" `Quick
             test_associativity_vs_capacity;
-        ] );
-      ( "stackdist",
-        [
-          Alcotest.test_case "hand trace" `Quick test_stackdist_hand_trace;
-          Alcotest.test_case "same line" `Quick test_stackdist_same_line;
-          Alcotest.test_case "vs naive LRU (qcheck)" `Quick test_stackdist_vs_naive_lru;
-          Alcotest.test_case "monotone" `Quick test_stackdist_monotone;
-          Alcotest.test_case "trace capture" `Quick test_trace_capture;
         ] );
       ( "cpu",
         [
