@@ -182,6 +182,7 @@ let measurements ~wall_ns ~(before : Obs.Metrics.snapshot)
     ("sim_executed_cycles", float_of_int (delta "sim.executed_cycles"));
     ("sim_runs", float_of_int (delta "sim.runs"));
     ("sim_replays", float_of_int (delta "sim.replays"));
+    ("sim_replay_refs", float_of_int (delta "sim.replay.refs"));
     ("solver_nodes", float_of_int (delta "binlp.nodes"));
     ("solver_incumbents", float_of_int (delta "binlp.incumbents"));
     ("builds", float_of_int (delta "dse.builds"));

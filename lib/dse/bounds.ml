@@ -105,14 +105,19 @@ let seconds cm ~reps s =
   let r = float_of_int reps in
   (r *. lo /. Sim.Machine.clock_hz, r *. hi /. Sim.Machine.clock_hz)
 
-(* Per-app summaries are deterministic, so a racy double computation is
-   harmless; the lock only protects the table itself. *)
-let memo : (string, Minic.Bounds.program_summary) Hashtbl.t = Hashtbl.create 8
+(* Per-app summaries of the most recently computed applications, newest
+   first: a stream of fresh applications must not keep one each
+   forever, and a sweep alternating a few applications must always
+   find them.  Summaries are deterministic, so a racy double
+   computation is harmless; the lock only protects the list itself. *)
+let memo_size = 8
+let memo : (string * Minic.Bounds.program_summary) list ref = ref []
 let memo_mutex = Mutex.create ()
 
 let summary_of_app (app : Apps.Registry.t) =
+  let name = app.Apps.Registry.name in
   Mutex.lock memo_mutex;
-  let cached = Hashtbl.find_opt memo app.Apps.Registry.name in
+  let cached = List.assoc_opt name !memo in
   Mutex.unlock memo_mutex;
   match cached with
   | Some s -> s
@@ -121,7 +126,9 @@ let summary_of_app (app : Apps.Registry.t) =
          default (no optimization). *)
       let s = Minic.Bounds.summary app.Apps.Registry.source in
       Mutex.lock memo_mutex;
-      Hashtbl.replace memo app.Apps.Registry.name s;
+      memo :=
+        (name, s)
+        :: List.filteri (fun i _ -> i < memo_size - 1) (List.remove_assoc name !memo);
       Mutex.unlock memo_mutex;
       s
 

@@ -59,7 +59,8 @@ val seconds : cycle_model -> reps:int -> Minic.Bounds.program_summary -> float *
 val summary_of_app : Apps.Registry.t -> Minic.Bounds.program_summary
 (** The app's instruction-mix summary (compiled exactly as
     {!Apps.Registry} does, at optimization level 0), memoized
-    process-wide by app name. *)
+    process-wide by app name for the eight most recently computed
+    applications. *)
 
 val app_bounds : cycle_model -> Apps.Registry.t -> float * float
 (** [seconds] bounds of the app's full [reps]-scaled run — the unit

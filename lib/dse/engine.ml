@@ -32,8 +32,10 @@ let h_build_seconds =
 
 (* The memo's byte budget: the least recently used applications' entries
    are dropped past it.  A weight sweep over the paper's four
-   applications on both targets keeps under a tenth of it. *)
-let budget_bytes = 1 lsl 20
+   applications on both targets keeps about a quarter of it; a stream
+   of fresh applications, none reading another's entries, keeps only
+   the latest few. *)
+let budget_bytes = 1 lsl 18
 
 (* Content-addressed cache key: the codec's canonical encoding always
    emits every field, so structurally equal configurations digest

@@ -105,7 +105,7 @@ val clear : t -> unit
     For tests that need a cold engine. *)
 
 val budget_bytes : int
-(** The memo's retention budget, in bytes. *)
+(** The memo's retention budget, in bytes: 256 KiB. *)
 
 val retained_bytes : t -> int
 (** Bytes the memo entries retain now (the

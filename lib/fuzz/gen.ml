@@ -18,7 +18,7 @@ let profile_name = function
   | Callish -> "callish"
   | Mixed -> "mixed"
 
-(* The generated vocabulary is fixed: three globals and a handful of
+(* The generated vocabulary is fixed: four globals and a handful of
    locals.  Every program is safe by construction on ALL paths — array
    indices are masked to the array length, division and modulo only
    ever see a non-zero literal divisor, loops are counter loops whose
@@ -27,8 +27,6 @@ let profile_name = function
    interpretation is therefore guaranteed, which is what lets the
    oracles treat any trap, divergence, or lint error as a genuine
    bug rather than a property of the input. *)
-
-let arrays = [ ("arr", 15); ("buf", 7) ]
 
 type env = {
   readable : string list;  (* variables expressions may mention *)
@@ -54,9 +52,33 @@ let masked_index env mask =
   in
   G.return (Ast.Bin (Ast.And, operand, Ast.Int mask))
 
+(* big[(x * stride + n) & 1023]: the 4 KB array is walked at strides
+   of 16 bytes to just over 1 KB, so its references reach different
+   lines of one cache class (lines whose addresses agree modulo 1 KB),
+   which the two small arrays never do. *)
+let strided_index env =
+  let* operand =
+    G.oneof [ var env; G.map (fun n -> Ast.Int n) (G.int_range 0 64) ]
+  in
+  let* stride = G.oneofl [ 4; 64; 256; 260 ] in
+  let* offset = G.int_range 0 1023 in
+  G.return
+    (Ast.Bin
+       ( Ast.And,
+         Ast.Bin (Ast.Add, Ast.Bin (Ast.Mul, operand, Ast.Int stride), Ast.Int offset),
+         Ast.Int 1023 ))
+
+(* One of the three arrays, with an index in its bounds. *)
+let element env =
+  G.oneof
+    [
+      G.map (fun i -> ("arr", i)) (masked_index env 15);
+      G.map (fun i -> ("buf", i)) (masked_index env 7);
+      G.map (fun i -> ("big", i)) (strided_index env);
+    ]
+
 let array_read env =
-  let* name, mask = G.oneofl arrays in
-  let* index = masked_index env mask in
+  let* name, index = element env in
   G.return (Ast.Idx (name, index))
 
 let leaf env =
@@ -123,8 +145,7 @@ let assign_stmt env =
   G.return [ Ast.Set (x, e) ]
 
 let store_stmt env =
-  let* name, mask = G.oneofl arrays in
-  let* index = masked_index env mask in
+  let* name, index = element env in
   let* e = expr env 3 in
   G.return [ Ast.Set_idx (name, index, e) ]
 
@@ -257,6 +278,7 @@ let main_of ~funcs ~w =
         Ast.Var "g";
         Ast.Idx ("arr", Ast.Bin (Ast.And, Ast.Var "a", Ast.Int 15));
         Ast.Idx ("buf", Ast.Bin (Ast.And, Ast.Var "b", Ast.Int 7));
+        Ast.Idx ("big", Ast.Bin (Ast.And, Ast.Var "c", Ast.Int 1023));
       ]
   in
   let epilogue = [ Ast.Ret sum ] in
@@ -279,6 +301,7 @@ let program_of_profile profile =
       Ast.Scalar ("g", g0);
       Ast.Array_init ("arr", Ast.Word, arr_init);
       Ast.Array_init ("buf", Ast.Byte, buf_init);
+      Ast.Array ("big", Ast.Word, 1024);
     ]
   in
   let* nhelpers =

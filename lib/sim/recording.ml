@@ -6,32 +6,48 @@
    register-window count alone.  One recorded execution therefore
    serves every cache shape through the caches alone.
 
-   The stream holds one cold epoch:
+   Only the references that can miss or change cache state are kept.
+   Every valid way holds at least 1 KB and every valid line is 16 or
+   32 bytes, so a line's {e class}, [line mod (1024 / line_bytes)], is
+   a function of its set index in every valid geometry: two lines of
+   different classes never share a set.  A reference is dropped when,
+   since the last window mark, the last reference to its class was a
+   load or fill of the same line, or a store dropped by this rule.
+   The line is then resident and most recently used in its set in
+   every geometry, and nothing of its set moved since, so the
+   reference hits everywhere and re-touching the MRU way changes no
+   tags, no recency order, no LRR pointer and draws no random victim.
+   A kept store forgets its class: with no allocation on a store miss,
+   whether its line is resident differs between geometries.  The
+   classes are forgotten at every window mark, where a phased run may
+   switch to a cold cache.  The class depends on the line size, so
+   the recorder keeps four streams, one per cache side and valid line
+   size, each filtered by its own classes:
 
-   - fetches, as runs of consecutive 16-byte blocks.  Every valid
-     cache line is 16 or 32 bytes, so a block lies inside one line of
-     every geometry, and fetches that stay inside a block are MRU-line
-     hits the simulator never probes.  A run is packed as
-     [first lsl run_bits lor length];
-   - data references in program order, packed as [address lsl 2 lor
+   - fetches: the lines of sequential runs of 16-byte blocks.  A block
+     lies inside one line of every geometry, and fetches that stay
+     inside a block are MRU-line hits the simulator never probes;
+   - data references in program order, packed as [line lsl 2 lor
      kind]: program loads and stores, window-fill loads and
      window-spill stores;
-   - at each window mark, the number of fetch runs and data references
-     before it, with the run's cumulative profile there.
+   - at each window mark, each stream's length before it, with the
+     run's cumulative profile there.
 
    A replay drives a fresh cache of one side through its stream for
    the cold epoch and, when the run had more than one repetition, once
-   more for the warm epoch, with exactly the simulator's probe rules
+   more for the warm epoch, window by window from the stream of the
+   cache's current line size, with exactly the simulator's probe rules
    (see {!Cpu}): the MRU-line shortcut for fetches and data, no
    allocation on a store miss (which leaves the MRU line alone), the
    MRU line forgotten after a window trap and at a reconfiguration,
-   and the MRU state carried across window marks and epochs.  It
-   counts misses per epoch and window, so every union of windows is a
-   segment it can answer. *)
+   and the MRU state carried across window marks and epochs.  Under
+   those rules a dropped reference would have been a hit that changes
+   nothing, so dropping it changes no count.  A replay counts misses
+   per epoch and window, so every union of windows is a segment it
+   can answer. *)
 
 let block_bits = 4
-let run_bits = 30
-let run_mask = (1 lsl run_bits) - 1
+let way_bytes = 1024  (* the smallest valid way *)
 
 (* A block holds four 4-byte instructions: instruction [pc] is fetched
    from byte [4 * pc] (see {!Decode}). *)
@@ -41,6 +57,11 @@ let k_load = 0
 let k_store = 1
 let k_fill = 2
 let k_spill = 3
+
+(* The four streams: per side, 16- then 32-byte lines. *)
+let stream_index side ~line_words =
+  (match side with Cache.Instruction -> 0 | Cache.Data -> 2)
+  + if line_words = 4 then 0 else 1
 
 (* {1 Chunked streams}
 
@@ -70,37 +91,82 @@ let push b v =
 
 let buffer_length b = (List.length b.full * chunk_len) + b.used
 
-type stream = { chunks : int array array; length : int }
-
-(* The last chunk is trimmed to its entries. *)
-let freeze b =
-  {
-    chunks = Array.of_list (List.rev (Array.sub b.cur 0 b.used :: b.full));
-    length = buffer_length b;
-  }
+type stream = {
+  chunks : int array array;
+  length : int;
+  marks : int array;  (* entry at which window [i + 1] starts *)
+}
 
 let[@inline] get s i =
   Array.unsafe_get (Array.unsafe_get s.chunks (i lsr chunk_bits)) (i land chunk_mask)
 
 (* {1 Recording} *)
 
+(* One stream's filter: per class, the line whose load or fill was the
+   class's last reference since the mark, [-1] when none. *)
+type filter = {
+  shift : int;  (* log2 of the line size in bytes *)
+  classes : int array;
+  out : buffer;
+  mutable fmarks : int list;  (* stream length at each mark, newest first *)
+}
+
+let filter shift =
+  {
+    shift;
+    classes = Array.make (way_bytes lsr shift) (-1);
+    out = buffer ();
+    fmarks = [];
+  }
+
+let[@inline] keep_fetch f line =
+  let c = line land (Array.length f.classes - 1) in
+  if Array.unsafe_get f.classes c <> line then begin
+    Array.unsafe_set f.classes c line;
+    push f.out line
+  end
+
+let[@inline] keep_data f addr kind =
+  let line = addr lsr f.shift in
+  let c = line land (Array.length f.classes - 1) in
+  if Array.unsafe_get f.classes c <> line then begin
+    (* a load or fill leaves its line resident everywhere; a store
+       leaves it resident only where it was *)
+    Array.unsafe_set f.classes c (if kind land 1 = 0 then line else -1);
+    push f.out ((line lsl 2) lor kind)
+  end
+
+let mark_filter f =
+  f.fmarks <- buffer_length f.out :: f.fmarks;
+  Array.fill f.classes 0 (Array.length f.classes) (-1)
+
 type recorder = {
-  fetch : buffer;
-  data : buffer;
+  i16 : filter;
+  i32 : filter;
+  d16 : filter;
+  d32 : filter;
   window : int;
   mutable seq_start : int;  (* pc at which the current sequential stretch began *)
   mutable first : int;  (* open block run, [-1] when none *)
   mutable last : int;
-  mutable marks : (int * int) list;  (* (fetch runs, data refs) per mark, newest first *)
   mutable snaps : Profiler.t list;
       (* cumulative profile at each mark and at the seal, newest first *)
 }
 
 let window r = r.window
 
+(* The filters in {!stream_index} order. *)
+let filters r = [| r.i16; r.i32; r.d16; r.d32 |]
+
+(* The open run's blocks, each line of them fetched once. *)
 let close_run r =
   if r.first >= 0 then begin
-    push r.fetch ((r.first lsl run_bits) lor (r.last - r.first + 1));
+    for line = r.first to r.last do
+      keep_fetch r.i16 line
+    done;
+    for line = r.first lsr 1 to r.last lsr 1 do
+      keep_fetch r.i32 line
+    done;
     r.first <- -1
   end
 
@@ -123,10 +189,14 @@ let jump r ~from ~target =
   retire r from;
   r.seq_start <- target
 
-let load r addr = push r.data ((addr lsl 2) lor k_load)
-let store r addr = push r.data ((addr lsl 2) lor k_store)
-let fill r addr = push r.data ((addr lsl 2) lor k_fill)
-let spill r addr = push r.data ((addr lsl 2) lor k_spill)
+let data r addr kind =
+  keep_data r.d16 addr kind;
+  keep_data r.d32 addr kind
+
+let load r addr = data r addr k_load
+let store r addr = data r addr k_store
+let fill r addr = data r addr k_fill
+let spill r addr = data r addr k_spill
 
 (* Everything before [pc] retired: close the stream there. *)
 let cut r ~pc =
@@ -136,12 +206,21 @@ let cut r ~pc =
 
 let mark r ~pc ~profile =
   cut r ~pc;
-  r.marks <- (buffer_length r.fetch, buffer_length r.data) :: r.marks;
+  Array.iter mark_filter (filters r);
   r.snaps <- Profiler.copy profile :: r.snaps
 
 let seal r ~pc ~profile =
   cut r ~pc;
   r.snaps <- Profiler.copy profile :: r.snaps
+
+(* The last chunk is trimmed to its entries. *)
+let freeze f =
+  let b = f.out in
+  {
+    chunks = Array.of_list (List.rev (Array.sub b.cur 0 b.used :: b.full));
+    length = buffer_length b;
+    marks = Array.of_list (List.rev f.fmarks);
+  }
 
 type replay = {
   side : Cache.side;
@@ -150,11 +229,8 @@ type replay = {
 }
 
 type t = {
-  fetches : stream;
-  refs : stream;
+  streams : stream array;  (* in {!stream_index} order *)
   window : int;
-  fetch_marks : int array;  (* fetch run at which window [i + 1] starts *)
-  data_marks : int array;
   reps : int;
   checksum : int;
   windows : Profiler.t array;  (* cold epoch, per window *)
@@ -179,13 +255,14 @@ let start ~entry =
       cell := Taken;
       Some
         {
-          fetch = buffer ();
-          data = buffer ();
+          i16 = filter 4;
+          i32 = filter 5;
+          d16 = filter 4;
+          d32 = filter 5;
           window;
           seq_start = entry;
           first = -1;
           last = -1;
-          marks = [];
           snaps = [];
         }
   | Idle | Taken | Captured _ -> None
@@ -238,48 +315,60 @@ let m_replays =
   Obs.Metrics.Counter.v "sim.replays"
     ~help:"cache replays of recorded reference streams"
 
+let m_refs =
+  Obs.Metrics.Counter.v "sim.replay.refs"
+    ~help:"recorded references the cache replays walked"
+
 type action = Keep | Fresh of Arch.Config.cache
 
-(* Entries [lo, hi) of a stream holding window [i]. *)
-let bounds marks length i =
-  ( (if i = 0 then 0 else marks.(i - 1)),
-    if i = Array.length marks then length else marks.(i) )
+(* The stream a cache of this geometry replays; the filter's classes
+   hold only for 16- and 32-byte lines and ways of at least 1 KB. *)
+let stream_for t side (g : Arch.Config.cache) =
+  if g.Arch.Config.way_kb * 1024 < way_bytes
+     || (g.Arch.Config.line_words <> 4 && g.Arch.Config.line_words <> 8)
+  then
+    invalid_arg
+      (Printf.sprintf
+         "Recording.replay: %d KB ways of %d-word lines are outside the \
+          recorded classes"
+         g.Arch.Config.way_kb g.Arch.Config.line_words);
+  t.streams.(stream_index side ~line_words:g.Arch.Config.line_words)
 
-(* One window's fetch runs; [last] is the MRU line. *)
-let replay_fetches t cache last reads slot i =
-  let line_bits = Cache.line_shift cache in
-  let shift = line_bits - block_bits in
-  let lo, hi = bounds t.fetch_marks t.fetches.length i in
+(* Entries [lo, hi) of a stream holding window [i]. *)
+let bounds s i =
+  ( (if i = 0 then 0 else s.marks.(i - 1)),
+    if i = Array.length s.marks then s.length else s.marks.(i) )
+
+(* One window's fetched lines; [last] is the MRU line. *)
+let replay_fetches s cache last reads slot i =
+  let shift = Cache.line_shift cache in
+  let lo, hi = bounds s i in
   let misses = ref 0 in
   for k = lo to hi - 1 do
-    let run = get t.fetches k in
-    let first = run lsr run_bits in
-    (* a run's blocks cover consecutive lines, each fetched once *)
-    for line = first lsr shift to (first + (run land run_mask) - 1) lsr shift do
-      if line <> !last then begin
-        last := line;
-        if not (Cache.read cache (line lsl line_bits)) then incr misses
-      end
-    done
+    let line = get s k in
+    if line <> !last then begin
+      last := line;
+      if not (Cache.read cache (line lsl shift)) then incr misses
+    end
   done;
-  reads.(slot) <- reads.(slot) + !misses
+  reads.(slot) <- reads.(slot) + !misses;
+  hi - lo
 
-let replay_data t cache last reads writes slot i =
+let replay_data s cache last reads writes slot i =
   let shift = Cache.line_shift cache in
-  let lo, hi = bounds t.data_marks t.refs.length i in
+  let lo, hi = bounds s i in
   for k = lo to hi - 1 do
-    let r = get t.refs k in
-    let addr = r lsr 2 in
+    let r = get s k in
+    let line = r lsr 2 in
+    let addr = line lsl shift in
     let kind = r land 3 in
     if kind = k_load then begin
-      let line = addr lsr shift in
       if line <> !last then begin
         last := line;
         if not (Cache.read cache addr) then reads.(slot) <- reads.(slot) + 1
       end
     end
     else if kind = k_store then begin
-      let line = addr lsr shift in
       if line <> !last then
         if Cache.write cache addr then last := line
         else writes.(slot) <- writes.(slot) + 1
@@ -294,7 +383,8 @@ let replay_data t cache last reads writes slot i =
          writes.(slot) <- writes.(slot) + 1);
       last := -1
     end
-  done
+  done;
+  hi - lo
 
 let epochs t = if t.reps = 1 then 1 else 2
 
@@ -313,22 +403,30 @@ let replay ?(switches = []) ?wrap t side geometry =
     switches;
   let slots = epochs t * n in
   let reads = Array.make slots 0 and writes = Array.make slots 0 in
+  let stream = ref (stream_for t side geometry) in
   let cache = ref (Cache.fresh side geometry) in
   let last = ref (-1) in
+  let walked = ref 0 in
   for e = 0 to epochs t - 1 do
     for i = 0 to n - 1 do
       (match if i = 0 then (if e = 0 then None else wrap) else at.(i) with
       | None -> ()
       | Some Keep -> last := -1
       | Some (Fresh g) ->
+          (* a new geometry may have a new line size: its stream *)
+          stream := stream_for t side g;
           cache := Cache.fresh side g;
           last := -1);
       let slot = (e * n) + i in
-      match side with
-      | Cache.Instruction -> replay_fetches t !cache last reads slot i
-      | Cache.Data -> replay_data t !cache last reads writes slot i
+      walked :=
+        !walked
+        +
+        match side with
+        | Cache.Instruction -> replay_fetches !stream !cache last reads slot i
+        | Cache.Data -> replay_data !stream !cache last reads writes slot i
     done
   done;
+  Obs.Metrics.Counter.incr ~by:!walked m_refs;
   { side; reads; writes }
 
 (* The misses of the simulated cold windows, as the replay of the
@@ -347,7 +445,6 @@ let simulated t side =
   { side; reads; writes }
 
 let deposit r ~reps ~checksum ~icache ~dcache =
-  let marks = Array.of_list (List.rev r.marks) in
   let snaps = List.rev r.snaps in
   let rec deltas prev = function
     | [] -> []
@@ -357,11 +454,8 @@ let deposit r ~reps ~checksum ~icache ~dcache =
   let none side = { side; reads = [||]; writes = [||] } in
   let t =
     {
-      fetches = freeze r.fetch;
-      refs = freeze r.data;
+      streams = Array.map freeze (filters r);
       window = r.window;
-      fetch_marks = Array.map fst marks;
-      data_marks = Array.map snd marks;
       reps;
       checksum;
       windows;

@@ -6,28 +6,38 @@
     register-window count alone.  So one recorded execution serves
     every cache shape through the caches alone.
 
-    A recording holds the cold epoch's reference stream, cut into
-    {e windows} of a fixed number of retired instructions, and the
-    cold epoch's simulated profile of each window.  The stream has
-    three parts:
-    - the sequential fetch runs, in 16-byte blocks;
-    - program loads and stores, and window-trap fills and spills, with
-      their byte addresses;
-    - the position in both of each window mark.
+    A recording holds the cold epoch's references, cut into {e windows}
+    of a fixed number of retired instructions, and the cold epoch's
+    simulated profile of each window.  It keeps only the references
+    that can miss or change cache state in some valid geometry, in four
+    streams: fetched lines and data references (loads, stores, window
+    fills and spills) for each cache side, at each valid line size (16
+    and 32 bytes).  Every valid way holds at least 1 KB, so a line's
+    {e class}, [line mod (1024 / line_bytes)], is coarser than every
+    valid geometry's set index.  A reference is dropped when, since the
+    last window mark, the last reference to its class was a load or
+    fill of the same line (or a store dropped by this rule): it is a
+    hit in every such geometry that changes no cache state.  A kept
+    store forgets its class, since without write allocation whether
+    its line is resident differs between geometries, and every window
+    mark forgets them all, so a switch to a cold cache at a mark stays
+    exact.  Each stream records its position at every window mark.
 
     Every later execution of the program executes the same stream
     ({!Cpu.reinit} restores registers, windows, pc and memory), so the
     warm epoch is the cold one's stream again, with only the cache
     state differing.  {!replay} drives a fresh cache ({!Cache.fresh},
-    the simulator's own constructor and seeds) through the stream for
-    the cold epoch and, when the run had more than one repetition, the
-    warm epoch, counting the misses of every window.  {!segments} puts
-    those counts into the recorded window profiles: the result is
-    exactly the profile that simulating the same execution with that
-    cache would report, before {!Cost_model.price} re-derives its
-    cycles.  A segment is any union of consecutive windows, so one
-    replay per cache geometry serves whole-run and per-segment
-    answers alike. *)
+    the simulator's own constructor and seeds) through the stream of
+    its side and line size for the cold epoch and, when the run had
+    more than one repetition, the warm epoch, counting the misses of
+    every window.  {!segments} puts those counts into the recorded
+    window profiles: the result is exactly the profile that simulating
+    the same execution with that cache would report, before
+    {!Cost_model.price} re-derives its cycles.  A segment is any union
+    of consecutive windows, so one replay per cache geometry serves
+    whole-run and per-segment answers alike.  A geometry with ways
+    under 1 KB or lines other than 16 or 32 bytes is outside the
+    recorded classes, and {!replay} refuses it. *)
 
 (** {2 Recording}
 
@@ -134,10 +144,13 @@ val replay :
     [switches] are the reconfigurations of a phased run, at window
     marks in retired instructions, taken in both epochs, and [wrap]
     the one at the warm epoch's start; each also forgets the most
-    recently used line, as {!Cpu.reconfigure} does.  Counted by
-    [sim.replays], under a [sim.replay] span.
+    recently used line, as {!Cpu.reconfigure} does.  Each window is
+    walked in the stream of the line size installed during it.
+    Counted by [sim.replays], the references walked by
+    [sim.replay.refs], under a [sim.replay] span.
     @raise Invalid_argument if a switch is not at a window mark inside
-    the execution. *)
+    the execution, or if a geometry has ways under 1 KB or lines other
+    than 16 or 32 bytes. *)
 
 val own : t -> replay * replay
 (** The icache and dcache replays of the recorded run's own caches,

@@ -166,6 +166,33 @@ let test_tightness () =
     "unbounded" None
     (Dse.Bounds.tightness ~lo:3.0 ~hi:infinity)
 
+(* --- the per-application summary memo --- *)
+
+(* The summaries of the most recently computed applications are kept,
+   so a sweep alternating the four paper applications always finds
+   them, while a stream of fresh applications does not keep one
+   each. *)
+let test_summary_memo_bounded () =
+  let renamed (app : Apps.Registry.t) name = { app with Apps.Registry.name } in
+  let paper = Apps.Registry.all in
+  let kept = List.map Dse.Bounds.summary_of_app paper in
+  for _ = 1 to 3 do
+    List.iter2
+      (fun app s ->
+        check_bool (app.Apps.Registry.name ^ " summary kept") true
+          (Dse.Bounds.summary_of_app app == s))
+      paper kept
+  done;
+  let first = renamed Apps.Registry.arith "fresh-0" in
+  let s = Dse.Bounds.summary_of_app first in
+  for i = 1 to 8 do
+    ignore (Dse.Bounds.summary_of_app (renamed Apps.Registry.arith (Printf.sprintf "fresh-%d" i)))
+  done;
+  let again = Dse.Bounds.summary_of_app first in
+  check_bool "an application computed before eight others is dropped" false
+    (again == s);
+  check_bool "and recomputed equal" true (again = s)
+
 (* --- bounds-gated search --- *)
 
 (* The engine's admission gate against a full sweep: with the fastest
@@ -246,6 +273,7 @@ let () =
         [
           Alcotest.test_case "monotone in stalls" `Quick test_pricing_monotone;
           Alcotest.test_case "tightness" `Quick test_tightness;
+          Alcotest.test_case "summary memo bounded" `Quick test_summary_memo_bounded;
         ] );
       ( "exhaustive",
         [

@@ -301,6 +301,223 @@ let test_replay_other_geometry () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+(* The recorder keeps only the references that can miss in some valid
+   geometry (see {!Sim.Recording}).  This kernel makes that filter
+   work: an 8 KB array walked at 1 KB strides, so different lines
+   share a class (addresses equal modulo 1 KB); stores before loads
+   to the same lines; recursion past 8 register windows, so window
+   spills and fills; and over 2 KB of code, so fetched lines share
+   classes too. *)
+let aliasing =
+  lazy
+    (let spread =
+       String.concat "\n"
+         (List.init 40 (fun k ->
+              Printf.sprintf "  a = (a * %d) ^ (a >> %d);\n  b = b + a;"
+                (3 + (2 * k)) (1 + (k mod 7))))
+     in
+     Minic.Codegen.compile
+       (Minic.Parser.parse_exn
+          (Printf.sprintf
+             {|int big[2048];
+
+int deep(int n) {
+  int x, y;
+  x = big[(n * 256) & 2047];
+  y = 0;
+  if (n > 0) {
+    y = deep(n - 1);
+  }
+  big[((n * 256) + 4) & 2047] = x + y;
+  return x + y + n;
+}
+
+int spread(int a) {
+  int b;
+  b = 0;
+%s
+  return b;
+}
+
+int main() {
+  int i, j, s, t;
+  s = 0;
+  i = 0;
+  while (i < 24) {
+    j = 0;
+    while (j < 8) {
+      big[((j * 256) + i) & 2047] = i + j;
+      s = s + big[((j * 256) + i) & 2047];
+      j = j + 1;
+    }
+    j = 0;
+    while (j < 8) {
+      s = s + big[((j * 256) + (i * 4)) & 2047];
+      j = j + 1;
+    }
+    t = deep(i & 15);
+    s = s + t;
+    t = spread(s);
+    s = s + t;
+    i = i + 1;
+  }
+  return s;
+}
+|}
+             spread)))
+
+let geometries ~valid =
+  List.concat_map
+    (fun ways ->
+      List.concat_map
+        (fun way_kb ->
+          List.concat_map
+            (fun line_words ->
+              List.filter valid
+                (List.map
+                   (fun replacement ->
+                     { Arch.Config.ways; way_kb; line_words; replacement })
+                   [ Arch.Config.Random; Arch.Config.Lrr; Arch.Config.Lru ]))
+            Arch.Config.valid_line_words)
+        Arch.Config.valid_way_kbs)
+    Arch.Config.valid_ways
+
+let mb_base = Dse.Target_microblaze.lower Arch.Mb_config.base
+
+(* Per target: its base configuration as the simulator runs it, and
+   its valid icache and dcache geometries. *)
+let targets =
+  let leon2 c = Arch.Config.is_valid { base with Arch.Config.icache = c } in
+  let mb_icache (c : Arch.Config.cache) =
+    c.Arch.Config.ways = 1
+    && c.Arch.Config.replacement = Arch.Config.Random
+    && Arch.Mb_config.is_valid
+         {
+           Arch.Mb_config.base with
+           Arch.Mb_config.icache =
+             { Arch.Mb_config.way_kb = c.Arch.Config.way_kb; line_words = c.Arch.Config.line_words };
+         }
+  in
+  let mb_dcache c = Arch.Mb_config.is_valid { Arch.Mb_config.base with Arch.Mb_config.dcache = c } in
+  [
+    ("leon2", base, geometries ~valid:leon2, geometries ~valid:leon2);
+    ("microblaze", mb_base, geometries ~valid:mb_icache, geometries ~valid:mb_dcache);
+  ]
+
+let window = 1000
+let cuts = [ 3000; 11000; 20000 ]
+
+let same_profile what (a : Sim.Profiler.t) (b : Sim.Profiler.t) =
+  Alcotest.(check (list (pair string int)))
+    what (Sim.Profiler.to_assoc b) (Sim.Profiler.to_assoc a)
+
+(* Every valid geometry of either cache, replayed from one recording
+   per target and repetition count, whole-run and per segment, equals
+   simulating it. *)
+let test_filtered_replay_every_geometry () =
+  let prog = Lazy.force aliasing in
+  check_bool "112 LEON2, 12 + 60 MicroBlaze geometries" true
+    (List.map (fun (_, _, i, d) -> (List.length i, List.length d)) targets
+    = [ (112, 112); (12, 60) ]);
+  List.iter
+    (fun (target, config, icaches, dcaches) ->
+      List.iter
+        (fun reps ->
+          let run, recording =
+            Sim.Recording.capture ~window (fun () -> Sim.Machine.run ~reps config prog)
+          in
+          if target = "leon2" then
+            check_bool "the kernel traps" true
+              (run.Sim.Machine.profile.Sim.Profiler.window_overflows > 0);
+          let check name (config : Arch.Config.t) =
+            let what =
+              Printf.sprintf "%s, reps %d, %s %s" target reps name
+                (Arch.Codec.to_string config)
+            in
+            let whole = Sim.Machine.run ~reps config prog in
+            let segmented = Sim.Machine.run_segmented ~reps ~boundaries:cuts config prog in
+            List.iter2 (same_profile (what ^ " whole run"))
+              (replayed recording ~boundaries:[] config)
+              [ whole.Sim.Machine.profile ];
+            List.iter2 (same_profile (what ^ " segment"))
+              (replayed recording ~boundaries:cuts config)
+              segmented.Sim.Machine.phase_profiles
+          in
+          List.iter
+            (fun icache -> check "icache" { config with Arch.Config.icache })
+            icaches;
+          List.iter
+            (fun dcache -> check "dcache" { config with Arch.Config.dcache })
+            dcaches)
+        [ 1; 3 ])
+    targets
+
+(* A phased replay whose switches start caches of the other line size
+   replays each phase from that line size's stream. *)
+let test_filtered_replay_line_switch () =
+  let prog = Lazy.force aliasing in
+  let other_line (c : Arch.Config.cache) =
+    { c with Arch.Config.line_words = (if c.Arch.Config.line_words = 4 then 8 else 4) }
+  in
+  List.iter
+    (fun (target, (config : Arch.Config.t), _, _) ->
+      let other =
+        {
+          config with
+          Arch.Config.icache = other_line config.Arch.Config.icache;
+          dcache = other_line config.Arch.Config.dcache;
+        }
+      in
+      let switches =
+        List.mapi
+          (fun k at_insn ->
+            {
+              Sim.Machine.at_insn;
+              config = (if k mod 2 = 0 then other else config);
+              shift_stall = 0;
+              cycles = 40;
+            })
+          cuts
+      in
+      List.iter
+        (fun reps ->
+          let _, recording =
+            Sim.Recording.capture ~window (fun () -> Sim.Machine.run ~reps config prog)
+          in
+          let replayed =
+            Sim.Machine.replay_phased ~wrap_cycles:25 ~switches recording config
+          in
+          let simulated =
+            Sim.Machine.run_phased ~reps ~wrap_cycles:25 ~switches config prog
+          in
+          let what = Printf.sprintf "%s, reps %d" target reps in
+          same_profile (what ^ " phased run") replayed.Sim.Machine.result.Sim.Machine.profile
+            simulated.Sim.Machine.result.Sim.Machine.profile;
+          List.iter2 (same_profile (what ^ " phase"))
+            replayed.Sim.Machine.phase_profiles simulated.Sim.Machine.phase_profiles;
+          check_bool (what ^ " phased result") true
+            (replayed.Sim.Machine.result = simulated.Sim.Machine.result
+            && replayed.Sim.Machine.switch_cycles = simulated.Sim.Machine.switch_cycles))
+        [ 1; 3 ])
+    targets
+
+let test_filtered_replay_refuses () =
+  let _, recording =
+    Sim.Recording.capture ~window (fun () -> Sim.Machine.run base (Lazy.force aliasing))
+  in
+  List.iter
+    (fun (way_kb, line_words) ->
+      check_bool
+        (Printf.sprintf "%d KB ways of %d-word lines are refused" way_kb line_words)
+        true
+        (match
+           Sim.Recording.replay recording Sim.Cache.Data
+             { base.Arch.Config.dcache with Arch.Config.way_kb; line_words }
+         with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ (0, 4); (1, 2); (4, 16) ]
+
 (* --- CPU: assembly helpers --- *)
 
 let run_asm ?(config = base) build =
@@ -885,6 +1102,12 @@ let () =
             test_replay_own_caches;
           Alcotest.test_case "another geometry replays its simulation" `Quick
             test_replay_other_geometry;
+          Alcotest.test_case "every valid geometry replays its simulation" `Quick
+            test_filtered_replay_every_geometry;
+          Alcotest.test_case "a switch of line size replays its simulation" `Quick
+            test_filtered_replay_line_switch;
+          Alcotest.test_case "geometries outside the classes are refused" `Quick
+            test_filtered_replay_refuses;
           QCheck_alcotest.to_alcotest test_profile_pack_roundtrip;
         ] );
     ]
