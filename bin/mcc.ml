@@ -44,7 +44,11 @@ let parse_and_check path =
 
 let load ~level path =
   if Filename.check_suffix path ".img" then
-    (Isa.Encode.decode_program (Bytes.of_string (read_file path)), None)
+    match Isa.Encode.decode_program (Bytes.of_string (read_file path)) with
+    | prog -> (prog, None)
+    | exception Isa.Encode.Error msg ->
+        Logs.err (fun m -> m "%s: malformed program image: %s" path msg);
+        exit exit_parse
   else
     let ast = parse_and_check path in
     (Minic.Codegen.compile ~level ast, Some ast)
@@ -142,9 +146,15 @@ let run target source output disasm run stats optimize level do_lint werror
         (* The instruction tracer drives the LEON2 Cpu model directly;
            recover the LEON2-typed configuration through the codec. *)
         (match Arch.Codec.of_string (T.to_string config) with
-        | Ok c ->
-            let cpu = Sim.Cpu.create c prog ~mem_size:(1 lsl 20) in
-            Sim.Trace.pp Format.std_formatter (Sim.Trace.run ~limit:n cpu)
+        | Ok c -> (
+            match
+              Sim.Trace.run ~limit:n
+                (Sim.Cpu.create c prog ~mem_size:(1 lsl 20))
+            with
+            | exception Sim.Cpu.Error msg ->
+                Logs.err (fun m -> m "simulation error: %s" msg);
+                exit 1
+            | trace -> Sim.Trace.pp Format.std_formatter trace)
         | Error msg ->
             Logs.err (fun m -> m "--trace: %s" msg);
             exit 1));
@@ -239,8 +249,9 @@ let exits =
   Cmd.Exit.info 1 ~doc:"on configuration or simulation errors."
   :: Cmd.Exit.info exit_parse
        ~doc:
-         "on parse errors, or when a $(b,--trace-out), $(b,--metrics-out) or \
-          $(b,--profile-out) file cannot be opened."
+         "on parse errors and malformed program images, or when a \
+          $(b,--trace-out), $(b,--metrics-out) or $(b,--profile-out) file \
+          cannot be opened."
   :: Cmd.Exit.info exit_check ~doc:"on static-check errors (unknown names, limit overflows)."
   :: Cmd.Exit.info exit_lint
        ~doc:

@@ -44,40 +44,18 @@ let budget_bytes = 1 lsl 18
    colliding.  Distinct noise amplitudes are distinct keys — their
    measurements differ, and ablation studies must not observe each
    other's perturbed results.  Every field but the digest is shared by
-   all of one application's keys: the [scope]. *)
-type scope = {
-  target : string;
-  app : string;
-  noise : float option;
-  segmentation : string option;
-      (* the boundaries of a segmented evaluation: it carries per-segment
-         profiles, so it occupies a distinct key; [None] for whole-run
-         evaluations, which a segmented evaluation also fills (see
-         [obtain]) *)
-}
-
+   all of one application's keys: the [scope].  Only whole runs are
+   memoized: per-segment answers ({!segments_on}) are priced from the
+   class recording and its replays on every request. *)
+type scope = { target : string; app : string; noise : float option }
 type key = { scope : scope; digest : string }
 
-let key_of ?noise ?segmentation (probe : _ Target.probe) (app : Apps.Registry.t)
-    config =
+let key_of ?noise (probe : _ Target.probe) (app : Apps.Registry.t) config =
   {
     scope =
-      {
-        target = probe.Target.target;
-        app = app.Apps.Registry.name;
-        noise;
-        segmentation;
-      };
+      { target = probe.Target.target; app = app.Apps.Registry.name; noise };
     digest = probe.Target.digest config;
   }
-
-let segmentation_of boundaries =
-  String.concat "," (List.map string_of_int boundaries)
-
-let pack_profile p =
-  let b = Buffer.create 64 in
-  Sim.Profiler.pack b p;
-  Buffer.contents b
 
 let pack (cost : Cost.t) profile =
   let b = Buffer.create 96 in
@@ -104,14 +82,12 @@ let profile_of packed = Sim.Profiler.unpack packed ~pos:16
    later forced {!eval} upgrades the entry to [Full] by simulating with
    the saved resources.  A [Full] evaluation is held packed ({!pack}):
    its seconds, resources and profile counters in one string of about
-   ten words where the records take about thirty, with the packed
-   per-segment profiles of a segmented evaluation ([] for whole-run
-   ones).  Every entry names the batch that created it (see
-   [current_batch]). *)
+   ten words where the records take about thirty.  Every entry names
+   the batch that created it (see [current_batch]). *)
 type entry =
   | Pending of int
   | Unfit of { resources : Synth.Resource.t; batch : int }
-  | Full of { packed : string; fits : bool; segments : string list; batch : int }
+  | Full of { packed : string; fits : bool; batch : int }
 
 (* Bytes an entry retains: its strings plus a fixed share for the
    table's cell and bucket slots, the entry block and the string
@@ -119,14 +95,11 @@ type entry =
 let entry_bytes digest = function
   | Pending _ -> 0
   | Unfit _ -> 104 + String.length digest
-  | Full v ->
-      104 + String.length digest + String.length v.packed
-      + List.fold_left (fun n s -> n + 16 + String.length s) 0 v.segments
+  | Full v -> 104 + String.length digest + String.length v.packed
 
-(* One application's memo entries, on both targets, under every noise
-   and segmentation: the unit of retention.  [stamp] is the engine's
-   clock at its last use; [pending] counts its computations in
-   flight. *)
+(* One application's memo entries, on both targets, under every noise:
+   the unit of retention.  [stamp] is the engine's clock at its last
+   use; [pending] counts its computations in flight. *)
 type group = {
   name : string;
   mutable stamp : int;
@@ -195,10 +168,6 @@ let in_batch id f =
   Fun.protect ~finally:(fun () -> cell := saved) f
 
 (* {1 The memo and its retention} *)
-
-let find t k =
-  Option.bind (Hashtbl.find_opt t.table k.scope) (fun m ->
-      Hashtbl.find_opt m.digests k.digest)
 
 (* The application is in use: O(1), allocation-free on a hit. *)
 let touch t g =
@@ -467,28 +436,20 @@ let replays_of t (probe : _ Target.probe) r config =
   ( replayed t r Sim.Cache.Instruction icache,
     replayed t r Sim.Cache.Data dcache )
 
-(* An evaluation: [config] priced from its class's recording with its
-   own caches replayed ([segmented]: per segment too).  The miss that
-   first claims the recording is the build; every other is priced.
-   Returns the journal kind with the result. *)
-let evaluate t (probe : _ Target.probe) app config ~segmented =
-  let window = Option.map fst segmented in
-  let r, built = class_recording t probe app ?window ~claim:true config in
+(* An evaluation: [config]'s whole run priced from its class's
+   recording with its own caches replayed.  The miss that first claims
+   the recording is the build; every other is priced.  Returns the
+   journal kind with the result. *)
+let evaluate t (probe : _ Target.probe) app config =
+  let r, built = class_recording t probe app ~claim:true config in
   Obs.Metrics.Counter.incr (if built then m_builds else m_priced);
   let icache, dcache = replays_of t probe r config in
-  let boundaries = match segmented with None -> [] | Some (_, b) -> b in
-  let parts = Sim.Recording.profiles r.recording ~icache ~dcache ~boundaries in
   let seconds, profile =
     probe.Target.price config
-      (List.fold_left Sim.Profiler.add (Sim.Profiler.create ()) parts)
+      (List.fold_left Sim.Profiler.add (Sim.Profiler.create ())
+         (Sim.Recording.profiles r.recording ~icache ~dcache ~boundaries:[]))
   in
-  let segments =
-    match segmented with
-    | None -> []
-    | Some _ ->
-        List.map (fun p -> pack_profile (snd (probe.Target.price config p))) parts
-  in
-  (seconds, profile, segments, if built then "engine.build" else "engine.priced")
+  (seconds, profile, if built then "engine.build" else "engine.priced")
 
 (* Journal identification of one candidate: the application plus the
    codec's canonical encoding (stable across runs, unlike digests,
@@ -507,9 +468,8 @@ let journal_fields (probe : _ Target.probe) (app : Apps.Registry.t) config =
    waits on a corpse.  Each lookup counts once: a miss, or a hit, or a
    dedup when the entry it finds was created by its own batch (see
    [current_batch]). *)
-let obtain t ~feasible_only ?segmented ?noise probe app config =
-  let segmentation = Option.map (fun (_, b) -> segmentation_of b) segmented in
-  let key = key_of ?noise ?segmentation probe app config in
+let obtain t ~feasible_only ?noise probe app config =
+  let key = key_of ?noise probe app config in
   let batch = !(Domain.DLS.get current_batch) in
   let counted = ref false in
   let journal kind extra =
@@ -538,33 +498,13 @@ let obtain t ~feasible_only ?segmented ?noise probe app config =
       in
       if feasible_only && not fits then (Unfit { resources; batch }, "engine.unfit")
       else
-        let seconds, profile, segments, kind =
-          evaluate t probe app config ~segmented
-        in
-        ( Full
-            {
-              packed = pack { Cost.seconds; resources } profile;
-              fits;
-              segments;
-              batch;
-            },
-          kind )
+        let seconds, profile, kind = evaluate t probe app config in
+        let packed = pack { Cost.seconds; resources } profile in
+        (Full { packed; fits; batch }, kind)
     with
     | entry, kind ->
         Mutex.lock t.mutex;
         settle t key entry;
-        (* A segmented run's whole-run part is the plain run's result
-           bit for bit, so it also fills the configuration's whole-run
-           key — unless that key is already built or being built. *)
-        (match entry with
-        | Full v when key.scope.segmentation <> None -> (
-            let whole =
-              { key with scope = { key.scope with segmentation = None } }
-            in
-            match find t whole with
-            | Some (Full _ | Pending _) -> ()
-            | None | Some (Unfit _) -> set t whole (Full { v with segments = [] }))
-        | Full _ | Unfit _ | Pending _ -> ());
         Condition.broadcast t.cond;
         Mutex.unlock t.mutex;
         journal kind
@@ -611,9 +551,9 @@ let obtain t ~feasible_only ?segmented ?noise probe app config =
   loop ()
 
 (* [_uncounted] variants run the request without pool task accounting:
-   they are what {!batch} submits to the pool (whose [Pool.map] /
-   [Pool.run_inline] already count each unique request), while the
-   public single-evaluation entry points below wrap them in
+   they are what {!eval_all_feasible_on} submits to the pool (whose
+   [Pool.map] / [Pool.run_inline] already count each unique request),
+   while the public single-evaluation entry points below wrap them in
    {!Pool.run_inline} so sequential searches — coordinate descent,
    the paper method, random search — show up in [dse.pool.tasks] too
    instead of leaving it at 0. *)
@@ -630,19 +570,6 @@ let eval_profiled_on ?noise t probe app config =
       match obtain t ~feasible_only:false ?noise probe app config with
       | Full v -> (cost_of v.packed, profile_of v.packed)
       | Unfit _ | Pending _ -> assert false)
-
-let eval_segments_on_uncounted ?noise t probe ~window ~boundaries app config =
-  match
-    obtain t ~feasible_only:false ~segmented:(window, boundaries) ?noise probe
-      app config
-  with
-  | Full v ->
-      (cost_of v.packed, List.map (Sim.Profiler.unpack ~pos:0) v.segments)
-  | Unfit _ | Pending _ -> assert false
-
-let eval_segments_on ?noise t probe ~window ~boundaries app config =
-  Pool.run_inline (fun () ->
-      eval_segments_on_uncounted ?noise t probe ~window ~boundaries app config)
 
 let journal_infeasible probe app config reason =
   if Obs.Journal.enabled () then
@@ -743,38 +670,10 @@ let map t f xs =
       Pool.map (Pool.default ()) f xs
   | None -> List.map (fun x -> Pool.run_inline (fun () -> f x)) xs
 
-(* Collapse a keyed batch to its distinct requests (first occurrence
-   order), counting (and journalling) the collapsed repeats, evaluate
-   the distinct ones on the pool, and fan the results back out in
-   input order. *)
-let batch ~span_name ~journal_dedup t keyed evaluate =
-  let seen = Hashtbl.create 64 in
-  let uniques =
-    List.filter
-      (fun (k, req) ->
-        if Hashtbl.mem seen k then begin
-          Obs.Metrics.Counter.incr m_dedup;
-          journal_dedup req;
-          false
-        end
-        else begin
-          Hashtbl.add seen k ();
-          true
-        end)
-      keyed
-  in
-  Obs.Span.with_ ~cat:"dse" span_name
-    ~attrs:
-      [
-        ("items", Obs.Json.Int (List.length keyed));
-        ("unique", Obs.Json.Int (List.length uniques));
-      ]
-  @@ fun () ->
-  let results = map t (fun (_, req) -> evaluate req) uniques in
-  let by_key = Hashtbl.create 64 in
-  List.iter2 (fun (k, _) r -> Hashtbl.replace by_key k r) uniques results;
-  List.map (fun (k, _) -> Hashtbl.find by_key k) keyed
-
+(* A batch is collapsed to its distinct requests (first occurrence
+   order), counting (and journalling) the collapsed repeats; the
+   distinct ones are evaluated on the pool and the results fanned back
+   out in input order. *)
 let eval_all_feasible_on ?noise t probe app configs =
   match configs with
   | [] -> []
@@ -784,12 +683,39 @@ let eval_all_feasible_on ?noise t probe app configs =
       let keyed =
         List.map (fun config -> (key_of ?noise probe app config, config)) configs
       in
-      batch ~span_name:"engine.eval_all" t keyed
-        ~journal_dedup:(fun config ->
-          if Obs.Journal.enabled () then
-            Obs.Journal.record ~kind:"engine.dedup"
-              (journal_fields probe app config))
-        (fun config -> eval_feasible_on_uncounted ?noise t probe app config)
+      let seen = Hashtbl.create 64 in
+      let uniques =
+        List.filter
+          (fun (k, config) ->
+            if Hashtbl.mem seen k then begin
+              Obs.Metrics.Counter.incr m_dedup;
+              if Obs.Journal.enabled () then
+                Obs.Journal.record ~kind:"engine.dedup"
+                  (journal_fields probe app config);
+              false
+            end
+            else begin
+              Hashtbl.add seen k ();
+              true
+            end)
+          keyed
+      in
+      Obs.Span.with_ ~cat:"dse" "engine.eval_all"
+        ~attrs:
+          [
+            ("items", Obs.Json.Int (List.length keyed));
+            ("unique", Obs.Json.Int (List.length uniques));
+          ]
+      @@ fun () ->
+      let results =
+        map t
+          (fun (_, config) ->
+            eval_feasible_on_uncounted ?noise t probe app config)
+          uniques
+      in
+      let by_key = Hashtbl.create 64 in
+      List.iter2 (fun (k, _) r -> Hashtbl.replace by_key k r) uniques results;
+      List.map (fun (k, _) -> Hashtbl.find by_key k) keyed
 
 (* A segmentation at multiples of [window]: strictly increasing
    positive boundaries. *)
@@ -805,38 +731,31 @@ let check_segmentation ~window boundaries =
          b)
        0 boundaries)
 
-let eval_all_segments_on ?noise t probe ~window ~boundaries app configs =
-  check_segmentation ~window boundaries;
-  match configs with
-  | [] -> []
-  | [ config ] ->
-      [ eval_segments_on ?noise t probe ~window ~boundaries app config ]
-  | _ ->
-      ignore (Lazy.force app.Apps.Registry.program);
-      let segmentation = segmentation_of boundaries in
-      let keyed =
-        List.map
-          (fun config -> (key_of ?noise ~segmentation probe app config, config))
-          configs
-      in
-      batch ~span_name:"engine.eval_all" t keyed
-        ~journal_dedup:(fun config ->
-          if Obs.Journal.enabled () then
-            Obs.Journal.record ~kind:"engine.dedup"
-              (journal_fields probe app config))
-        (fun config ->
-          eval_segments_on_uncounted ?noise t probe ~window ~boundaries app
-            config)
-
-let windows_on t (probe : _ Target.probe) app ~window config =
-  check_segmentation ~window [];
-  ignore (Lazy.force app.Apps.Registry.program);
+(* [parts] of [config]'s class recording made at [window], with
+   [config]'s caches replayed over it, each priced under [config].  The
+   recording stays unclaimed and no lookup is counted. *)
+let priced_parts t (probe : _ Target.probe) app ~window parts config =
   let r, _ = class_recording t probe app ~window ~claim:false config in
   let icache, dcache = replays_of t probe r config in
   List.map
     (fun p -> snd (probe.Target.price config p))
-    (Sim.Recording.segments r.recording ~icache ~dcache ~epoch:0
-       ~boundaries:(Sim.Recording.window_starts r.recording ~window))
+    (parts r.recording ~icache ~dcache)
+
+let windows_on t probe app ~window config =
+  check_segmentation ~window [];
+  ignore (Lazy.force app.Apps.Registry.program);
+  priced_parts t probe app ~window
+    (fun r ~icache ~dcache ->
+      Sim.Recording.segments r ~icache ~dcache ~epoch:0
+        ~boundaries:(Sim.Recording.window_starts r ~window))
+    config
+
+let segments_on t probe app ~window ~boundaries configs =
+  check_segmentation ~window boundaries;
+  ignore (Lazy.force app.Apps.Registry.program);
+  map t
+    (priced_parts t probe app ~window (Sim.Recording.profiles ~boundaries))
+    configs
 
 let recording_on t (probe : _ Target.probe) app ~window configs =
   check_segmentation ~window [];

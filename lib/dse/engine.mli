@@ -11,11 +11,12 @@
     the one-at-a-time model).  The engine turns that cross-experiment
     redundancy into cache hits.
 
-    {b Memoization.}  Results are stored in a content-addressed memo
-    cache keyed by [(target name, application name, digest of the
-    target codec's canonical encoding, noise amplitude)], plus the
-    segment boundaries of a per-segment measurement (see
-    {!eval_all_segments_on}).  Evaluation is
+    {b Memoization.}  Whole-run results are stored in a
+    content-addressed memo cache keyed by [(target name, application
+    name, digest of the target codec's canonical encoding, noise
+    amplitude)]; nothing else is memoized but recordings and their
+    replays, so a per-segment measurement ({!segments_on}) is priced
+    from them on every request.  Evaluation is
     deterministic — the simulator is cycle-accurate and the synthesis
     model analytic, with {e deterministic} per-configuration
     measurement noise — so a memoized result is bit-identical to a
@@ -36,16 +37,16 @@
     [probe.simulate] ({!Sim.Recording}); one made for a windowed
     request (segments, phase detection, a schedule) marks a window
     every so many retired instructions.  Any recording of the class
-    serves a whole-run miss; a segmented miss needs one whose windows
-    its boundaries fall on, since a segment is a union of windows.  The
-    configuration's own caches ([probe.caches]) are replayed over the
-    recording, each cache geometry at most once per recording (the
-    recorded caches' own replays come with the recording), and the
-    resulting profile is priced ([probe.price]) — per segment too, for
-    a segmented evaluation.  The same recording answers phase
-    detection ({!windows_on}) and a schedule's verification
-    ({!recording_on}).  A request that needs windows the class's
-    recording does not mark records the class again (counted by
+    serves a whole-run miss; a segmented request needs one whose
+    windows its boundaries fall on, since a segment is a union of
+    windows.  The configuration's own caches ([probe.caches]) are
+    replayed over the recording, each cache geometry at most once per
+    recording (the recorded caches' own replays come with the
+    recording), and the resulting profile is priced ([probe.price]).
+    The same recording answers per-segment measurement
+    ({!segments_on}), phase detection ({!windows_on}) and a schedule's
+    verification ({!recording_on}).  A request that needs windows the
+    class's recording does not mark records the class again (counted by
     [sim.runs]); that recording replaces the old one.  Recordings and
     replays follow the same in-flight discipline as the memo entries,
     so which runs and replays happen depends only on the requests.
@@ -54,8 +55,8 @@
     application's recordings (never one being made or waited on).
 
     {b Retention.}  Memo entries are held packed, grouped by
-    application (both targets, every noise and segmentation).  When
-    they retain more than {!budget_bytes}, the least recently used
+    application (both targets, every noise).  When they retain more
+    than {!budget_bytes}, the least recently used
     applications are dropped whole, never the one being evaluated nor
     one with a computation in flight.  Use order and sizes follow the
     requests, so which applications are dropped depends only on the
@@ -78,9 +79,11 @@
     depends on the requests, not on domain timing.  Every miss that
     evaluates is a build or priced, so [dse.engine.misses =
     dse.builds + dse.engine.priced] plus the over-capacity [Unfit]
-    answers, segmented evaluations included: [dse.builds] counts the
-    first miss priced from each recording, [dse.engine.priced] the
-    others; the journal kinds are [engine.build] and [engine.priced].
+    answers: [dse.builds] counts the first miss priced from each
+    recording, [dse.engine.priced] the others; the journal kinds are
+    [engine.build] and [engine.priced].  {!segments_on},
+    {!windows_on} and {!recording_on} are not evaluations and count no
+    lookup.
     [dse.engine.evictions] counts dropped applications and the gauge
     [dse.engine.retained_bytes] the memo's bytes.  [sim.runs] counts
     the recordings made and [sim.replays] the cache replays.  Each
@@ -144,27 +147,24 @@ val eval_feasible_on :
     and the returned cost; over-capacity configurations are cached
     without ever reaching the simulator. *)
 
-val eval_all_segments_on :
-  ?noise:float ->
+val segments_on :
   t ->
   'c Target.probe ->
+  Apps.Registry.t ->
   window:int ->
   boundaries:int list ->
-  Apps.Registry.t ->
   'c list ->
-  (Cost.t * Sim.Profiler.t list) list
-(** Per-segment measurement of a batch of configurations of one
-    application, in input order, with the same deduplication and
-    pooling as {!eval_all_feasible_on}, returning each cost with the
-    profiles of its segments [[0, b1)], ..., [[bn, end)].  The
-    boundaries are strictly increasing multiples of [window], the
-    window a recording made for them marks.  The memo key is extended
-    with the boundaries, so two different segmentations never collide.
-    Each computed segmented evaluation also fills the same
-    configuration's whole-run entry with its cost and whole-run
-    profile, unless that entry is already built or being built: a
-    later {!eval_on} or {!eval_profiled_on} of the configuration is a
-    hit, so one evaluation serves both.
+  Sim.Profiler.t list list
+(** Per-segment measurement of configurations of one application, in
+    input order, fanned out under {!map}: for each, the priced profiles
+    of its segments [[0, b1)], ..., [[bn, end)] of the reps-scaled run,
+    as {!Target.S.run_app_segmented} carves them; they sum field for
+    field to its whole-run profile.  The boundaries are strictly
+    increasing multiples of [window], the window its class's recording
+    marks.  Each answer is priced from that recording and its replays.
+    Not an evaluation: no lookup is counted, nothing is memoized, and
+    the recording stays unclaimed, so a later {!eval_on} of each
+    configuration is a miss and the first on the class is its build.
     @raise Invalid_argument on boundaries that are not strictly
     increasing multiples of [window]. *)
 

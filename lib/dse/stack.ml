@@ -1325,70 +1325,76 @@ module Make (T : Target.S) = struct
       Obs.Metrics.Counter.incr ~by:nphases m_schedule_phases;
       record_phases app phases;
       let boundaries = Sim.Phase.boundaries phases in
-      (* With two or more phases, measure base and every row's
-         (measured, reference) pair segmented, before the static
-         optimizer: each segmented evaluation also fills its
-         configuration's whole-run engine entry, so [Measure.build]
-         below hits on every row and each configuration is evaluated
-         once.  [batch] is base, then one pair per row in row order. *)
-      let batch =
+      (* With two or more phases, price each distinct configuration
+         among base and every row's (measured, reference) pair per
+         segment, from the recording the detection made.  That comes
+         before the static optimizer, whose whole-run misses then claim
+         the same recording: each execution class is simulated once. *)
+      let measured =
         if nphases = 1 then []
         else begin
           let configs =
-            T.base
-            :: List.concat_map
-                 (fun var ->
-                   let reference = Measure.reference_config var in
-                   [ var.T.apply reference; reference ])
-                 (Measure.vars_in dims)
+            List.fold_left
+              (fun acc c ->
+                if List.exists (T.equal c) acc then acc else c :: acc)
+              []
+              (T.base
+              :: List.concat_map
+                   (fun var ->
+                     let reference = Measure.reference_config var in
+                     [ var.T.apply reference; reference ])
+                   (Measure.vars_in dims))
+            |> List.rev
           in
-          Obs.Span.with_ ~cat:"dse" "schedule.measure"
-            ~attrs:[ ("app", Obs.Json.String app.Apps.Registry.name) ]
-            (fun () ->
-              Engine.eval_all_segments_on ?noise (Engine.default ()) T.probe
-                ~window ~boundaries app configs)
+          let segments =
+            Obs.Span.with_ ~cat:"dse" "schedule.measure"
+              ~attrs:[ ("app", Obs.Json.String app.Apps.Registry.name) ]
+              (fun () ->
+                Engine.segments_on (Engine.default ()) T.probe app ~window
+                  ~boundaries configs)
+          in
+          List.combine configs
+            (List.map
+               (fun ps ->
+                 Array.of_list (List.map Sim.Machine.profile_seconds ps))
+               segments)
         end
+      in
+      let phase_seconds c =
+        snd (List.find (fun (c', _) -> T.equal c c') measured)
       in
       let static = Optimizer.run ?noise ~dims ~weights app in
       let static_seconds = static.Optimizer.actual.Cost.seconds in
       let plan, solve_nodes =
         if nphases = 1 then (Static static.Optimizer.config, 0)
         else begin
-          let secs =
-            Array.of_list
-              (List.map
-                 (fun (_, profs) ->
-                   Array.of_list
-                     (List.map
-                        (fun (pr : Sim.Profiler.t) ->
-                          float_of_int pr.Sim.Profiler.cycles
-                          /. Sim.Machine.clock_hz)
-                        profs))
-                 batch)
-          in
-          (* Row [i] was measured at [secs.(2i + 1)] against its
-             reference at [secs.(2i + 2)]. *)
           let model = static.Optimizer.model in
           let rows = model.Measure.rows in
           let base_total = model.Measure.base.Cost.seconds in
+          let secs =
+            List.map
+              (fun (r : Measure.row) ->
+                let reference = Measure.reference_config r.Measure.var in
+                ( phase_seconds (r.Measure.var.T.apply reference),
+                  phase_seconds reference ))
+              rows
+          in
           (* Per-phase marginal runtime deltas, normalized by the whole
              base runtime (so summing a row's rho over the phases gives
              back its static rho). *)
           let models =
             List.init nphases (fun p ->
                 Measure.with_rows model
-                  (List.mapi
-                     (fun i (r : Measure.row) ->
+                  (List.map2
+                     (fun (r : Measure.row) (measured, reference) ->
                        let rho =
-                         100.0
-                         *. (secs.((2 * i) + 1).(p) -. secs.((2 * i) + 2).(p))
-                         /. base_total
+                         100.0 *. (measured.(p) -. reference.(p)) /. base_total
                        in
                        {
                          r with
                          Measure.deltas = { r.Measure.deltas with Cost.rho };
                        })
-                     rows))
+                     rows secs))
           in
           let sched =
             Obs.Span.with_ ~cat:"dse" "schedule.formulate"

@@ -12,7 +12,11 @@
      memo cache with: just enough to identify, validate, estimate and
      simulate one configuration.  Keeping it a plain polymorphic record
      (rather than a packed module) lets the engine stay monomorphic in
-     ['c] per call while serving every target from one cache. *)
+     ['c] per call while serving every target from one cache.
+
+   Both views' simulation half — runs, phases, schedules, cycle prices
+   and the probe's simulator fields — is derived once, by {!Simulated},
+   from how the target lowers its configuration onto the simulator. *)
 
 type 'c probe = {
   target : string;
@@ -55,12 +59,6 @@ type 'c probe = {
           cost model.  The engine's bounds-admission path uses this to
           skip provably dominated simulations. *)
 }
-
-(* The [price] field of both targets: one cost table per
-   configuration, the seconds [simulate] would report. *)
-let price_with cycle_model config profile =
-  let p = Sim.Cost_model.price (cycle_model config) profile in
-  (Sim.Machine.profile_seconds p, p)
 
 module type S = sig
   (** One soft-core backend, as consumed by [Stack.Make]. *)
@@ -254,4 +252,98 @@ module type S = sig
 
   val probe : config probe
   (** This target's engine probe; [probe.target = name]. *)
+end
+
+(* The simulation half of {!S} and of the target's probe, derived once
+   from how a target runs on the simulator: its configuration lowered
+   onto the simulator's knobs, a per-shift stall for cores without a
+   barrel shifter, and what a runtime switch costs. *)
+module Simulated (L : sig
+  type config
+
+  val name : string
+  val base : config
+  val lower : config -> Arch.Config.t
+  val shift_stall : config -> int
+  val switch_cycles : config -> config -> int
+  val keep_caches_on_switch : bool
+end) =
+struct
+  let run_app ?(config = L.base) (app : Apps.Registry.t) =
+    Sim.Machine.run ~reps:app.Apps.Registry.reps
+      ~shift_stall:(L.shift_stall config) (L.lower config)
+      (Lazy.force app.Apps.Registry.program)
+
+  let run_program ?mem_size config prog =
+    Sim.Machine.run ?mem_size ~shift_stall:(L.shift_stall config)
+      (L.lower config) prog
+
+  let detect_phases ?options (app : Apps.Registry.t) =
+    Sim.Phase.detect ?options ~shift_stall:(L.shift_stall L.base)
+      (L.lower L.base) (Lazy.force app.Apps.Registry.program)
+
+  let run_app_segmented ?(config = L.base) ~boundaries (app : Apps.Registry.t) =
+    Sim.Machine.run_segmented ~reps:app.Apps.Registry.reps
+      ~shift_stall:(L.shift_stall config) ~boundaries (L.lower config)
+      (Lazy.force app.Apps.Registry.program)
+
+  (* A schedule [(start_insn, config)] as the lowered first
+     configuration, the switches and the wrap-around charge of
+     {!Sim.Machine.run_phased}. *)
+  let phased_run ~schedule k =
+    match schedule with
+    | [] -> invalid_arg (L.name ^ ": run_app_phased: empty schedule")
+    | (s0, first) :: rest ->
+        if s0 <> 0 then
+          invalid_arg (L.name ^ ": run_app_phased: schedule must start at 0");
+        let rec switches prev = function
+          | [] -> []
+          | (at, c) :: tl ->
+              {
+                Sim.Machine.at_insn = at;
+                config = L.lower c;
+                shift_stall = L.shift_stall c;
+                cycles = L.switch_cycles prev c;
+              }
+              :: switches c tl
+        in
+        let last = List.fold_left (fun _ (_, c) -> c) first rest in
+        k ~shift_stall:(L.shift_stall first)
+          ~keep_caches:L.keep_caches_on_switch
+          ~wrap_cycles:(L.switch_cycles last first)
+          ~switches:(switches first rest) (L.lower first)
+
+  let run_app_phased ~schedule (app : Apps.Registry.t) =
+    phased_run ~schedule
+      (fun ~shift_stall ~keep_caches ~wrap_cycles ~switches first ->
+        Sim.Machine.run_phased ~reps:app.Apps.Registry.reps ~shift_stall
+          ~keep_caches ~wrap_cycles ~switches first
+          (Lazy.force app.Apps.Registry.program))
+
+  let replay_app_phased ~schedule recording =
+    phased_run ~schedule
+      (fun ~shift_stall ~keep_caches ~wrap_cycles ~switches first ->
+        Sim.Machine.replay_phased ~shift_stall ~keep_caches ~wrap_cycles
+          ~switches recording first)
+
+  let cycle_model config =
+    Bounds.of_arch_config ~shift_stall:(L.shift_stall config) (L.lower config)
+
+  (* The probe's fields: a run, the caches replayed for it, the seconds
+     and profile [simulate] reports under one cost table per
+     configuration, and the static bounds from that table. *)
+  let simulate app config =
+    let result = run_app ~config app in
+    (Sim.Machine.seconds result, result.Sim.Machine.profile)
+
+  let caches config =
+    let l = L.lower config in
+    (l.Arch.Config.icache, l.Arch.Config.dcache)
+
+  let price config profile =
+    let p = Sim.Cost_model.price (cycle_model config) profile in
+    (Sim.Machine.profile_seconds p, p)
+
+  let static_bounds =
+    Some (fun app config -> Bounds.app_bounds (cycle_model config) app)
 end

@@ -327,53 +327,18 @@ let schedule_dims =
     Arch.Param.Dcache_line;
   ]
 
-let run_app = Apps.Registry.run
-let run_program ?mem_size config prog = Sim.Machine.run ?mem_size config prog
+(* LEON2 is the simulator's own core: its configurations run as they
+   are, with a barrel shifter. *)
+include Target.Simulated (struct
+  type nonrec config = config
 
-let detect_phases ?options (app : Apps.Registry.t) =
-  Sim.Phase.detect ?options base (Lazy.force app.Apps.Registry.program)
-
-let run_app_segmented ?(config = base) ~boundaries (app : Apps.Registry.t) =
-  Sim.Machine.run_segmented ~reps:app.Apps.Registry.reps ~boundaries config
-    (Lazy.force app.Apps.Registry.program)
-
-(* A schedule [(start_insn, config)] as the first configuration, the
-   switches and the wrap-around charge of {!Sim.Machine.run_phased}. *)
-let phased_run ~schedule k =
-  match schedule with
-  | [] -> invalid_arg "Target_leon2.run_app_phased: empty schedule"
-  | (s0, first) :: rest ->
-      if s0 <> 0 then
-        invalid_arg "Target_leon2.run_app_phased: schedule must start at 0";
-      let rec switches prev = function
-        | [] -> []
-        | (at, c) :: tl ->
-            {
-              Sim.Machine.at_insn = at;
-              config = c;
-              shift_stall = 0;
-              cycles = switch_cycles prev c;
-            }
-            :: switches c tl
-      in
-      let last = List.fold_left (fun _ (_, c) -> c) first rest in
-      k ~shift_stall:0 ~keep_caches:keep_caches_on_switch
-        ~wrap_cycles:(switch_cycles last first)
-        ~switches:(switches first rest) first
-
-let run_app_phased ~schedule (app : Apps.Registry.t) =
-  phased_run ~schedule (fun ~shift_stall ~keep_caches ~wrap_cycles ~switches first ->
-      Sim.Machine.run_phased ~reps:app.Apps.Registry.reps ~shift_stall
-        ~keep_caches ~wrap_cycles ~switches first
-        (Lazy.force app.Apps.Registry.program))
-
-let replay_app_phased ~schedule recording =
-  phased_run ~schedule (fun ~shift_stall ~keep_caches ~wrap_cycles ~switches first ->
-      Sim.Machine.replay_phased ~shift_stall ~keep_caches ~wrap_cycles ~switches
-        recording first)
-
-(* LEON2 has a barrel shifter: shifts are single-cycle. *)
-let cycle_model config = Bounds.of_arch_config config
+  let name = name
+  let base = base
+  let lower = Fun.id
+  let shift_stall _ = 0
+  let switch_cycles = switch_cycles
+  let keep_caches_on_switch = keep_caches_on_switch
+end)
 
 (* The caches and every integer-unit option but the window count, fast
    read/write and mult/div inference leave the executed stream alone,
@@ -403,13 +368,9 @@ let probe =
     resources;
     device_luts;
     device_brams;
-    simulate =
-      (fun app config ->
-        let result = Apps.Registry.run ~config app in
-        (Sim.Machine.seconds result, result.Sim.Machine.profile));
+    simulate;
     representative;
-    caches = (fun (c : config) -> (c.icache, c.dcache));
-    price = Target.price_with cycle_model;
-    static_bounds =
-      Some (fun app config -> Bounds.app_bounds (cycle_model config) app);
+    caches;
+    price;
+    static_bounds;
   }

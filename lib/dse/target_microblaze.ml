@@ -316,61 +316,16 @@ let schedule_dims =
     Arch.Mb_param.Dcache_way_kb; Arch.Mb_param.Dcache_line;
   ]
 
-let run_app ?(config = base) (app : Apps.Registry.t) =
-  Sim.Machine.run ~reps:app.Apps.Registry.reps
-    ~shift_stall:(shift_stall config) (lower config)
-    (Lazy.force app.Apps.Registry.program)
+include Target.Simulated (struct
+  type nonrec config = config
 
-let detect_phases ?options (app : Apps.Registry.t) =
-  Sim.Phase.detect ?options ~shift_stall:(shift_stall base) (lower base)
-    (Lazy.force app.Apps.Registry.program)
-
-let run_app_segmented ?(config = base) ~boundaries (app : Apps.Registry.t) =
-  Sim.Machine.run_segmented ~reps:app.Apps.Registry.reps
-    ~shift_stall:(shift_stall config) ~boundaries (lower config)
-    (Lazy.force app.Apps.Registry.program)
-
-(* A schedule [(start_insn, config)] as the lowered first configuration,
-   the switches and the wrap-around charge of {!Sim.Machine.run_phased}. *)
-let phased_run ~schedule k =
-  match schedule with
-  | [] -> invalid_arg "Target_microblaze.run_app_phased: empty schedule"
-  | (s0, first) :: rest ->
-      if s0 <> 0 then
-        invalid_arg "Target_microblaze.run_app_phased: schedule must start at 0";
-      let rec switches prev = function
-        | [] -> []
-        | (at, c) :: tl ->
-            {
-              Sim.Machine.at_insn = at;
-              config = lower c;
-              shift_stall = shift_stall c;
-              cycles = switch_cycles prev c;
-            }
-            :: switches c tl
-      in
-      let last = List.fold_left (fun _ (_, c) -> c) first rest in
-      k ~shift_stall:(shift_stall first) ~keep_caches:keep_caches_on_switch
-        ~wrap_cycles:(switch_cycles last first)
-        ~switches:(switches first rest) (lower first)
-
-let run_app_phased ~schedule (app : Apps.Registry.t) =
-  phased_run ~schedule (fun ~shift_stall ~keep_caches ~wrap_cycles ~switches first ->
-      Sim.Machine.run_phased ~reps:app.Apps.Registry.reps ~shift_stall
-        ~keep_caches ~wrap_cycles ~switches first
-        (Lazy.force app.Apps.Registry.program))
-
-let replay_app_phased ~schedule recording =
-  phased_run ~schedule (fun ~shift_stall ~keep_caches ~wrap_cycles ~switches first ->
-      Sim.Machine.replay_phased ~shift_stall ~keep_caches ~wrap_cycles ~switches
-        recording first)
-
-let run_program ?mem_size config prog =
-  Sim.Machine.run ?mem_size ~shift_stall:(shift_stall config) (lower config)
-    prog
-
-let cycle_model config =
-  Bounds.of_arch_config ~shift_stall:(shift_stall config) (lower config)
+  let name = name
+  let base = base
+  let lower = lower
+  let shift_stall = shift_stall
+  let switch_cycles = switch_cycles
+  let keep_caches_on_switch = keep_caches_on_switch
+end)
 
 (* The caches, barrel shifter, multiplier and divider leave the
    executed stream alone and the window count is pinned, so every
@@ -386,16 +341,9 @@ let probe =
     resources;
     device_luts;
     device_brams;
-    simulate =
-      (fun app config ->
-        let result = run_app ~config app in
-        (Sim.Machine.seconds result, result.Sim.Machine.profile));
+    simulate;
     representative;
-    caches =
-      (fun c ->
-        let l = lower c in
-        (l.Arch.Config.icache, l.Arch.Config.dcache));
-    price = Target.price_with cycle_model;
-    static_bounds =
-      Some (fun app config -> Bounds.app_bounds (cycle_model config) app);
+    caches;
+    price;
+    static_bounds;
   }

@@ -921,9 +921,9 @@ let phase_determinism =
 
 (* A segmented run carves one execution at instruction boundaries
    without changing it: its whole-run result must equal the plain
-   run's structurally — the identity that lets the engine serve a
-   configuration's whole-run evaluation from its segmented one — and
-   its phase profiles must sum to the whole profile.  Boundaries are
+   run's structurally — the identity that lets one recording answer a
+   configuration's whole run and its segments alike — and its phase
+   profiles must sum to the whole profile.  Boundaries are
    drawn as per-mille cuts of the run's per-execution instruction
    count, so they always fall inside it. *)
 let segmented_matches (type c)
@@ -1006,8 +1006,9 @@ let segmented_vs_plain =
 (* The engine answers every evaluation from its execution class's
    recording, with the configuration's caches replayed and its stall
    prices applied, so each answer must equal the simulation field for
-   field: whole-run and segmented, on a fresh engine.  Returns the
-   simulated profile. *)
+   field, on a fresh engine: the whole run ([eval_profiled_on]), and
+   each segment ([segments_on]) with the seconds of their sum.  Returns
+   the simulated profile. *)
 let engine_matches (type c) (module T : Dse.Target.S with type config = c)
     engine (config : c) ~cuts app =
   let at = T.to_string config in
@@ -1047,14 +1048,14 @@ let engine_matches (type c) (module T : Dse.Target.S with type config = c)
       (String.concat "," (List.map string_of_int boundaries))
   in
   (match
-     Dse.Engine.eval_all_segments_on engine T.probe ~window ~boundaries app
-       [ config ]
+     Dse.Engine.segments_on engine T.probe app ~window ~boundaries [ config ]
    with
-  | [ (cost, segments) ] ->
-      same_seconds at cost.Dse.Cost.seconds seconds;
-      same at
-        (List.fold_left Sim.Profiler.add (Sim.Profiler.create ()) segments)
-        whole;
+  | [ segments ] ->
+      let summed =
+        List.fold_left Sim.Profiler.add (Sim.Profiler.create ()) segments
+      in
+      same_seconds at (Sim.Machine.profile_seconds summed) seconds;
+      same at summed whole;
       if List.length segments <> List.length phases then
         T2.fail_reportf "%s: %d segments from the engine, %d simulated" at
           (List.length segments) (List.length phases);

@@ -110,17 +110,18 @@ val segmented_vs_plain : t
     boundaries inside the run x 1-3 reps: {!Dse.Target.S.run_app_segmented}'s
     [result] equals {!Dse.Target.S.run_app}'s structurally, and its
     phase profiles sum to the whole profile field by field — the
-    identity behind the engine serving a whole-run evaluation from a
-    segmented one. *)
+    identity behind one recording answering a configuration's whole
+    run and its segments alike. *)
 
 val engine_vs_simulated : t
 (** Random program x random LEON2 and MicroBlaze configurations (cache
     geometry and policy, price-only fields, window count) x 1-3 reps x
     0-3 segment boundaries on window marks: on a fresh {!Dse.Engine},
-    the whole-run answer equals {!Dse.Target.probe}'s [simulate] and the
-    segmented answer equals {!Dse.Target.S.run_app_segmented}, field for
-    field —
-    seconds, the profile and every phase profile.  On LEON2 a
+    the whole-run answer ({!Dse.Engine.eval_profiled_on}) equals
+    {!Dse.Target.probe}'s [simulate], and the segments
+    ({!Dse.Engine.segments_on}) equal
+    {!Dse.Target.S.run_app_segmented}'s phase profiles, field for field,
+    their sum its profile and the seconds of their sum its seconds.  On LEON2 a
     configuration at a random larger window count joins when the drawn
     one runs trap-free.  The identity behind the engine answering every
     evaluation from a recording of its execution class, replayed

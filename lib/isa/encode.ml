@@ -220,6 +220,7 @@ let decode_program bytes =
   if u32 () <> magic then error "bad magic";
   let entry = u32 () in
   let ncode = u32 () in
+  need (4 * ncode);
   let code =
     Array.init ncode (fun _ ->
         need 4;

@@ -523,7 +523,8 @@ let create ?(shift_stall = 0) ?recorder config prog ~mem_size =
   | Error msg -> invalid_arg ("Cpu.create: " ^ msg));
   let data_end = Isa.Program.data_end prog in
   if mem_size < data_end + 4096 then
-    invalid_arg "Cpu.create: memory too small for data image + stack";
+    error "data image and stack need %d bytes, memory holds %d"
+      (data_end + 4096) mem_size;
   let iu = config.Arch.Config.iu in
   let cm = Cost_model.of_arch_config ~shift_stall config in
   let icache = Cache.fresh Cache.Instruction config.Arch.Config.icache in

@@ -40,7 +40,9 @@ val create :
     execution feeds it the reference stream (fetch redirects, loads,
     stores, window spills and fills), and {!run} marks its windows,
     until {!stop_recording}.
-    @raise Invalid_argument if the configuration is invalid. *)
+    @raise Invalid_argument if the configuration is invalid.
+    @raise Error if the data image and the stack do not fit in
+    [mem_size]. *)
 
 val reinit : t -> unit
 (** Reset architectural state (registers, pc, icc, window state) and

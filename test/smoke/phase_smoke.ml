@@ -9,26 +9,46 @@
    schedule run on a cleared engine builds every configuration at most
    once and simulates exactly once: the schedule dims are all cache
    dims, so every configuration it detects, measures or verifies is of
-   one execution class, answered by one recording. *)
+   one execution class, answered by one recording.  Every lookup of a
+   schedule run is a miss that is a build or priced: per-segment
+   measurement counts none, and nothing is looked up twice in one
+   batch. *)
 
 let builds = Obs.Metrics.Counter.v "dse.builds"
 let runs = Obs.Metrics.Counter.v "sim.runs"
+let misses = Obs.Metrics.Counter.v "dse.engine.misses"
+let priced = Obs.Metrics.Counter.v "dse.engine.priced"
+let dedups = Obs.Metrics.Counter.v "dse.engine.inflight_dedup"
 
 (* [f ()] on a cleared engine with the journal on: no (app, config) may
    get two [engine.build] events, the events must account for every
-   build [dse.builds] counted, and [sim.runs] must move by one. *)
+   build [dse.builds] counted, [sim.runs] must move by one,
+   [dse.engine.misses] by exactly [dse.builds + dse.engine.priced], and
+   [dse.engine.inflight_dedup] not at all. *)
 let built_once label f =
   Dse.Engine.clear (Dse.Engine.default ());
   Obs.Journal.clear ();
   Obs.Journal.set_enabled true;
-  let b0 = Obs.Metrics.Counter.value builds in
-  let r0 = Obs.Metrics.Counter.value runs in
+  let value = Obs.Metrics.Counter.value in
+  let b0 = value builds and r0 = value runs in
+  let m0 = value misses and p0 = value priced and d0 = value dedups in
   let x = Fun.protect ~finally:(fun () -> Obs.Journal.set_enabled false) f in
-  let moved = Obs.Metrics.Counter.value builds - b0 in
-  let simulated = Obs.Metrics.Counter.value runs - r0 in
+  let moved = value builds - b0 in
+  let simulated = value runs - r0 in
   if simulated <> 1 then (
     Printf.eprintf "%s: sim.runs moved by %d in one schedule run, expected 1\n"
       label simulated;
+    exit 1);
+  let missed = value misses - m0 and pricings = value priced - p0 in
+  if missed <> moved + pricings then (
+    Printf.eprintf
+      "%s: dse.engine.misses moved by %d, dse.builds + dse.engine.priced by \
+       %d\n"
+      label missed (moved + pricings);
+    exit 1);
+  if value dedups <> d0 then (
+    Printf.eprintf "%s: dse.engine.inflight_dedup moved by %d\n" label
+      (value dedups - d0);
     exit 1);
   let built =
     List.filter_map

@@ -1,7 +1,7 @@
 (* The shared evaluation engine: memoization bit-identity, batch
    evaluation vs the serial reference, in-flight/batch deduplication
-   accounting, segmented evaluations filling whole-run entries, pricing
-   and cache replays from recorded execution classes, and the
+   accounting, pricing and cache replays from recorded execution
+   classes, per-segment measurement outside the memo, and the
    persistent work-stealing pool. *)
 
 let check_int = Alcotest.(check int)
@@ -232,101 +232,6 @@ let test_fig2_sweep_build_count () =
   check_bool "identical points" true (compare points again = 0);
   check_int "no new builds" 0 (delta mid after "dse.builds");
   check_int "28 hits" 28 (delta mid after "dse.engine.hits")
-
-(* --- Segmented evaluations --- *)
-
-(* Per-phase measurement of arith split at one boundary, the primitive
-   [Schedule.run] hands the engine. *)
-let window = 500
-let boundaries = [ 500 ]
-
-let test_segments_serve_whole_run () =
-  let app = Apps.Registry.arith in
-  let c1 = config_of_seed 1 and c2 = config_of_seed 2 in
-  let c3 = config_of_seed 3 in
-  let e = Dse.Engine.create () in
-  ignore
-    (Dse.Engine.eval_all_segments_on e probe ~window ~boundaries app
-       [ c1; c2; c1; c3 ]);
-  ignore
-    (Dse.Engine.eval_all_segments_on ~noise:0.005 e probe ~window ~boundaries
-       app [ c2 ]);
-  let lookups = [ (None, c1); (None, c2); (None, c3); (Some 0.005, c2) ] in
-  let n = List.length lookups in
-  let before = Obs.Metrics.snapshot () in
-  let profiled =
-    List.map
-      (fun (noise, c) -> Dse.Engine.eval_profiled_on ?noise e probe app c)
-      lookups
-  in
-  let mid = Obs.Metrics.snapshot () in
-  let costs =
-    List.map (fun (noise, c) -> Dse.Engine.eval_on ?noise e probe app c) lookups
-  in
-  let after = Obs.Metrics.snapshot () in
-  check_int "eval_profiled_on hits once each" n
-    (delta before mid "dse.engine.hits");
-  check_int "eval_on hits once each" n (delta mid after "dse.engine.hits");
-  check_int "no misses" 0 (delta before after "dse.engine.misses");
-  check_int "no builds" 0 (delta before after "dse.builds");
-  let plain = Dse.Engine.create () in
-  List.iteri
-    (fun i ((noise, c), ((cost, profile), cost')) ->
-      let ref_cost, ref_profile =
-        Dse.Engine.eval_profiled_on ?noise plain probe app c
-      in
-      check_bool (Printf.sprintf "lookup %d cost = plain evaluation" i) true
-        (compare cost ref_cost = 0 && compare cost' ref_cost = 0);
-      check_bool (Printf.sprintf "lookup %d profile = plain evaluation" i) true
-        (compare profile ref_profile = 0))
-    (List.combine lookups (List.combine profiled costs))
-
-let test_segments_keep_whole_run () =
-  (* Segmented evaluations priced at doubled seconds make the filled
-     entry distinguishable: it must land only where the whole-run
-     entry is absent or [Unfit], never over a built one. *)
-  let app = Apps.Registry.arith in
-  let doubled =
-    {
-      probe with
-      Dse.Target.price =
-        (fun c p ->
-          let seconds, profile = probe.Dse.Target.price c p in
-          (2.0 *. seconds, profile));
-    }
-  in
-  let built = config_of_seed 4 and absent = config_of_seed 5 in
-  let unfit =
-    match
-      List.find_opt
-        (fun c -> Arch.Config.is_valid c && not (Synth.Estimate.feasible c))
-        (Arch.Space.dcache_geometry ())
-    with
-    | Some c -> c
-    | None -> Alcotest.fail "dcache geometry has no over-capacity point"
-  in
-  let plain c = Dse.Engine.eval_on (Dse.Engine.create ()) probe app c in
-  let e = Dse.Engine.create () in
-  let kept = Dse.Engine.eval_on e probe app built in
-  check_bool "unfit query is None" true
-    (Dse.Engine.eval_feasible_on e probe app unfit = None);
-  ignore
-    (Dse.Engine.eval_all_segments_on e doubled ~window ~boundaries
-       app [ built; absent; unfit ]);
-  let before = Obs.Metrics.snapshot () in
-  let built' = Dse.Engine.eval_on e probe app built in
-  let absent' = Dse.Engine.eval_on e probe app absent in
-  let unfit' = Dse.Engine.eval_on e probe app unfit in
-  let after = Obs.Metrics.snapshot () in
-  check_int "all three are hits" 3 (delta before after "dse.engine.hits");
-  check_int "no builds" 0 (delta before after "dse.builds");
-  check_bool "built whole-run entry kept" true (compare built' kept = 0);
-  check_bool "absent whole-run entry filled" true
-    (absent'.Dse.Cost.seconds = 2.0 *. (plain absent).Dse.Cost.seconds);
-  check_bool "unfit whole-run entry upgraded" true
-    (unfit'.Dse.Cost.seconds = 2.0 *. (plain unfit).Dse.Cost.seconds);
-  check_bool "still reported infeasible" true
-    (Dse.Engine.eval_feasible_on e probe app unfit = None)
 
 (* --- Pricing --- *)
 
@@ -584,6 +489,93 @@ let test_replay_work_independent_of_workers () =
   in
   check_build (module Dse.Target_leon2);
   check_build (module Dse.Target_microblaze)
+
+(* --- Per-segment measurement --- *)
+
+(* Per-phase measurement of arith split at one boundary, the primitive
+   [Schedule.run] hands the engine, over base and its single-cache and
+   price-only perturbations: one execution class per target. *)
+let window = 500
+let boundaries = [ 500 ]
+
+let leon2_class = Arch.Config.base :: (leon2_cache_rows @ price_only_leon2)
+
+let mb_class =
+  Arch.Mb_config.base :: (mb_cache_rows @ price_only_microblaze)
+
+(* Every configuration twice, on a fresh engine: no engine counter and
+   no build moves, and a repeat's segments equal the first answer. *)
+let segments_count_no_lookup (type c) (probe : c Dse.Target.probe)
+    (configs : c list) =
+  let name = probe.Dse.Target.target in
+  let app = Apps.Registry.arith in
+  let e = Dse.Engine.create () in
+  let before = Obs.Metrics.snapshot () in
+  let answers =
+    Dse.Engine.segments_on e probe app ~window ~boundaries (configs @ configs)
+  in
+  let after = Obs.Metrics.snapshot () in
+  List.iter
+    (fun (counter, (_, metric)) ->
+      match metric with
+      | Obs.Metrics.Counter _
+        when String.starts_with ~prefix:"dse.engine." counter
+             || counter = "dse.builds" ->
+          check_int (Printf.sprintf "%s: %s unmoved" name counter) 0
+            (delta before after counter)
+      | _ -> ())
+    after;
+  check_int (name ^ ": one recording") 1 (delta before after "sim.runs");
+  let n = List.length configs in
+  check_int (name ^ ": one answer per request") (2 * n) (List.length answers);
+  List.iteri
+    (fun i (first, repeat) ->
+      check_int (Printf.sprintf "%s config %d: two segments" name i) 2
+        (List.length first);
+      check_bool (Printf.sprintf "%s config %d: repeat answers equal" name i)
+        true
+        (compare first repeat = 0))
+    (List.combine (List.filteri (fun i _ -> i < n) answers)
+       (List.filteri (fun i _ -> i >= n) answers))
+
+let test_segments_count_no_lookup () =
+  segments_count_no_lookup probe leon2_class;
+  segments_count_no_lookup Dse.Target_microblaze.probe mb_class
+
+(* After per-segment measurement, every configuration's whole-run
+   evaluation is a miss, only the first claims the recording as its
+   build, and the segments sum field for field to the evaluated
+   profile, seconds included. *)
+let segments_then_evaluate (type c) (probe : c Dse.Target.probe)
+    (configs : c list) =
+  let name = probe.Dse.Target.target in
+  let app = Apps.Registry.arith in
+  let e = Dse.Engine.create () in
+  let answers = Dse.Engine.segments_on e probe app ~window ~boundaries configs in
+  List.iteri
+    (fun i (config, segments) ->
+      let before = Obs.Metrics.snapshot () in
+      ignore (Dse.Engine.eval_on e probe app config);
+      let after = Obs.Metrics.snapshot () in
+      let at = Printf.sprintf "%s config %d" name i in
+      check_int (at ^ ": a miss") 1 (delta before after "dse.engine.misses");
+      check_int (at ^ ": the build iff first") (if i = 0 then 1 else 0)
+        (delta before after "dse.builds");
+      check_int (at ^ ": no simulation") 0 (delta before after "sim.runs");
+      let cost, profile = Dse.Engine.eval_profiled_on e probe app config in
+      let summed =
+        List.fold_left Sim.Profiler.add (Sim.Profiler.create ()) segments
+      in
+      check_bool (at ^ ": segments sum to the profile") true
+        (compare summed profile = 0);
+      check_bool (at ^ ": and to its seconds") true
+        (Int64.bits_of_float (Sim.Machine.profile_seconds summed)
+        = Int64.bits_of_float cost.Dse.Cost.seconds))
+    (List.combine configs answers)
+
+let test_segments_then_evaluate () =
+  segments_then_evaluate probe leon2_class;
+  segments_then_evaluate Dse.Target_microblaze.probe mb_class
 
 (* --- Pool --- *)
 
@@ -852,13 +844,6 @@ let () =
           Alcotest.test_case "fig2 sweep build count" `Quick
             test_fig2_sweep_build_count;
         ] );
-      ( "segments",
-        [
-          Alcotest.test_case "a segmented evaluation serves whole-run lookups"
-            `Quick test_segments_serve_whole_run;
-          Alcotest.test_case "a built whole-run entry is never replaced" `Quick
-            test_segments_keep_whole_run;
-        ] );
       ( "priced",
         [
           Alcotest.test_case "price-only perturbations simulate once" `Quick
@@ -881,6 +866,13 @@ let () =
           Alcotest.test_case "retention bounded" `Quick test_retention_bounded;
           Alcotest.test_case "replay work independent of workers" `Quick
             test_replay_work_independent_of_workers;
+        ] );
+      ( "segments",
+        [
+          Alcotest.test_case "segments_on counts no lookup" `Quick
+            test_segments_count_no_lookup;
+          Alcotest.test_case "evaluations after segments_on miss" `Quick
+            test_segments_then_evaluate;
         ] );
       ( "pool",
         [
