@@ -279,13 +279,30 @@ let git_rev () =
 
 exception Bail of int
 
+(* The history file, opened for append (and, under --check, loaded)
+   before any experiment runs, so a bad path or a malformed file costs
+   no run.  [entries] grows with this run's own entries, which a
+   repeated experiment name is checked against. *)
+type history = { oc : out_channel; mutable entries : Obs.History.entry list }
+
+let open_history ~check path =
+  let fail m =
+    Format.eprintf "bench: bad --history file: %s@." m;
+    raise (Bail 2)
+  in
+  match if check then Obs.History.load path else Ok [] with
+  | Error m -> fail m
+  | Ok entries -> (
+      match open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path with
+      | exception Sys_error m -> fail m
+      | oc -> { oc; entries })
+
 (* Besides the history gate, an experiment fails the run when one of
    its verified runtimes fell outside its static bounds
    ([dse.bounds.violations]): the bounds analysis or the simulator is
    wrong.  [main] has already rejected every name but the experiments'
    and "perf". *)
-let run_experiment ~history_path ~check ~rev ~profiling ~failed regressions
-    name =
+let run_experiment ~history ~check ~rev ~profiling ~failed regressions name =
   match List.assoc_opt name experiments with
   | None -> perf ()
   | Some f ->
@@ -317,9 +334,8 @@ let run_experiment ~history_path ~check ~rev ~profiling ~failed regressions
         else None
       in
       write_bench name (bench_json name ~ms ~profiler ~after);
-      (match history_path with
-      | None -> ()
-      | Some path ->
+      Option.iter
+        (fun h ->
           let entry =
             {
               Obs.History.rev = Lazy.force rev;
@@ -329,22 +345,19 @@ let run_experiment ~history_path ~check ~rev ~profiling ~failed regressions
             }
           in
           (if check then
-             match Obs.History.load path with
-             | Error m ->
-                 Format.eprintf "%s@." m;
-                 raise (Bail 2)
-             | Ok history ->
-                 let regs = Obs.History.check ~history entry in
-                 List.iter
-                   (fun r ->
-                     Format.eprintf "%s: REGRESSION %a@." name
-                       Obs.History.pp_regression r)
-                   regs;
-                 if regs <> [] then regressions := (name, regs) :: !regressions);
-          Obs.History.append path entry)
+             let regs = Obs.History.check ~history:h.entries entry in
+             List.iter
+               (fun r ->
+                 Format.eprintf "%s: REGRESSION %a@." name
+                   Obs.History.pp_regression r)
+               regs;
+             if regs <> [] then regressions := (name, regs) :: !regressions);
+          Obs.History.write h.oc entry;
+          h.entries <- h.entries @ [ entry ])
+        history
 
-(* Every name is checked before anything runs, so a typo cannot cost
-   the experiments listed before it. *)
+(* Every name and the history file are checked before anything runs,
+   so a typo cannot cost the experiments listed before it. *)
 let main names check history rev obs =
   let body () =
     (match
@@ -357,25 +370,27 @@ let main names check history rev obs =
         Format.eprintf "unknown experiment %S; known: %s, perf@." name
           (String.concat ", " (List.map fst experiments));
         raise (Bail 2));
-    Obs_cli.with_reporting obs "bench" @@ fun () ->
-    let history_path =
-      match history with "none" | "" -> None | path -> Some path
+    let history =
+      match history with
+      | "none" | "" -> None
+      | path -> Some (open_history ~check path)
     in
+    Fun.protect ~finally:(fun () ->
+        Option.iter (fun h -> close_out_noerr h.oc) history)
+    @@ fun () ->
+    Obs_cli.with_reporting obs "bench" @@ fun () ->
     let rev =
       lazy (match rev with Some r -> r | None -> git_rev ())
     in
     let profiling = obs.Obs_cli.profile_out <> None in
     let regressions = ref [] and failed = ref false in
-    (* An exception fails its experiment only; [Bail] ends the run. *)
+    (* An exception fails its experiment only. *)
     let run name =
       try
-        run_experiment ~history_path ~check ~rev ~profiling ~failed regressions
-          name
-      with
-      | Bail _ as e -> raise e
-      | e ->
-          Format.eprintf "%s: failed: %s@." name (Printexc.to_string e);
-          failed := true
+        run_experiment ~history ~check ~rev ~profiling ~failed regressions name
+      with e ->
+        Format.eprintf "%s: failed: %s@." name (Printexc.to_string e);
+        failed := true
     in
     (match names with
     | [] -> List.iter (fun (n, _) -> run n) experiments
@@ -429,8 +444,9 @@ let cmd =
          violation or failed; the other experiments still run."
     :: Cmd.Exit.info 2
          ~doc:
-           "on an unknown experiment, before any experiment runs, on an \
-            unreadable $(b,--history) file, or when a $(b,--trace-out), \
+           "before any experiment runs: on an unknown experiment, an \
+            unreadable or unwritable $(b,--history) file (a malformed one \
+            under $(b,--check)), or when a $(b,--trace-out), \
             $(b,--metrics-out) or $(b,--profile-out) file cannot be opened."
     :: Cmd.Exit.defaults
   in

@@ -57,7 +57,7 @@ let w1_arg =
 
 let w2_arg =
   let doc =
-    "Weight of chip resources (LUT%% + BRAM%%) in the objective (finite, >= \
+    "Weight of chip resources (LUT% + BRAM%) in the objective (finite, >= \
      0; not zero together with $(b,--w1))."
   in
   Arg.(value & opt non_negative 1.0 & info [ "w2" ] ~doc)

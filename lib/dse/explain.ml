@@ -1,12 +1,13 @@
-(* Decision-provenance reports: aggregate the raw {!Obs.Journal}
-   stream of one pipeline run into a structured explanation — solver
-   incumbent timelines, per-candidate engine outcomes, and static-bound
-   tightness — rendered as JSON or markdown.
+(* Decision-provenance reports: aggregate the journal instants of one
+   pipeline run's {!Obs.Trace} stream into a structured explanation —
+   solver incumbent timelines, per-candidate engine outcomes, and
+   static-bound tightness — rendered as JSON or markdown.
 
    The report is deterministic for a deterministic run when rendered
    with [~timings:false]: candidates are sorted by (app, config), the
-   incumbent timeline keeps journal order (monotone by construction),
-   and all wall-clock fields are omitted — so a pinned run golden-tests
+   incumbent timeline keeps journal order (monotone by construction,
+   and equal timestamps keep their domain's append order), and all
+   wall-clock fields are omitted — so a pinned run golden-tests
    byte-for-byte. *)
 
 type incumbent = {
@@ -183,14 +184,14 @@ let of_events events =
     | None -> ()
   in
   List.iter
-    (fun (e : Obs.Journal.event) ->
-      let f = e.Obs.Journal.fields in
-      match e.Obs.Journal.kind with
+    (fun (e : Obs.Trace.event) ->
+      let f = e.Obs.Trace.args in
+      match e.Obs.Trace.name with
       | "run.meta" -> if !meta = [] then meta := f
       | "binlp.incumbent" ->
           let inc =
             {
-              ts_ns = e.Obs.Journal.ts_ns;
+              ts_ns = e.Obs.Trace.ts_ns;
               node = Option.value ~default:0 (int_f "node" f);
               objective = Option.value ~default:0.0 (num "objective" f);
               bound = num "bound" f;
@@ -256,7 +257,9 @@ let of_events events =
               violations := !violations + 1
           | _ -> ())
       | _ -> ())
-    events;
+    (List.filter
+       (fun (e : Obs.Trace.event) -> e.Obs.Trace.cat = "journal")
+       events);
   let candidates =
     Hashtbl.fold (fun _ c l -> c :: l) table []
     |> List.sort (fun a b -> compare (a.app, a.config) (b.app, b.config))

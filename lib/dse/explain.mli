@@ -1,4 +1,5 @@
-(** Decision-provenance reports over the {!Obs.Journal} stream.
+(** Decision-provenance reports over the {!Obs.Journal} instants of
+    the trace stream.
 
     One pipeline run with journalling enabled leaves a raw event
     stream: per-candidate engine outcomes (hit / build / priced /
@@ -109,7 +110,9 @@ type t = {
 val considered : accounting -> int
 (** Total engine decisions: the sum of all six outcome counts. *)
 
-val of_events : Obs.Journal.event list -> t
+val of_events : Obs.Trace.event list -> t
+(** Reads the ["journal"] instants among [events], in list order;
+    events of other categories are ignored. *)
 
 val of_journal : unit -> t
 (** [of_events (Obs.Journal.events ())]. *)

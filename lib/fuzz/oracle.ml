@@ -633,11 +633,11 @@ let cpu_cost_table_microblaze =
       Dse.Target_microblaze.run_program config prog)
     Gen.mb_config
 
-(* The journal's per-domain buffers under real pool concurrency: every
-   recorded event must survive the merge (none lost, none duplicated),
-   carry well-formed serializable fields, and each domain's buffer must
-   be monotonically timestamped — the invariants the explain reports
-   and the trace mirror rely on. *)
+(* Journal instants in the per-domain trace buffers under real pool
+   concurrency: every recorded event must survive the merge (none
+   lost, none duplicated), carry well-formed serializable fields, and
+   each domain's journal instants must be monotonically timestamped —
+   the invariants the explain reports rely on. *)
 let journal_pool =
   T
     {
@@ -674,7 +674,7 @@ let journal_pool =
             T2.fail_reportf "pool map reordered or lost results";
           let events =
             List.filter
-              (fun (e : Obs.Journal.event) -> e.Obs.Journal.kind = "fuzz.tick")
+              (fun (e : Obs.Trace.event) -> e.Obs.Trace.name = "fuzz.tick")
               (Obs.Journal.events ())
           in
           let expected = List.fold_left ( + ) 0 counts in
@@ -682,25 +682,30 @@ let journal_pool =
             T2.fail_reportf "recorded %d events, expected %d"
               (List.length events) expected;
           List.iter
-            (fun (e : Obs.Journal.event) ->
-              if e.Obs.Journal.ts_ns < 0L then
+            (fun (e : Obs.Trace.event) ->
+              if e.Obs.Trace.ts_ns < 0L then
                 T2.fail_reportf "negative timestamp";
-              if e.Obs.Journal.kind = "" then T2.fail_reportf "empty kind";
-              ignore (Obs.Json.to_string (Obs.Journal.to_json e)))
+              if e.Obs.Trace.name = "" then T2.fail_reportf "empty kind";
+              if e.Obs.Trace.ph <> Obs.Trace.Instant then
+                T2.fail_reportf "journal event is not an instant";
+              ignore (Obs.Json.to_string (Obs.Json.Obj e.Obs.Trace.args)))
             events;
           List.iter
             (fun (tid, evs) ->
               let rec monotone = function
-                | (a : Obs.Journal.event) :: (b : Obs.Journal.event) :: rest ->
-                    if Int64.compare a.Obs.Journal.ts_ns b.Obs.Journal.ts_ns > 0
+                | (a : Obs.Trace.event) :: (b : Obs.Trace.event) :: rest ->
+                    if Int64.compare a.Obs.Trace.ts_ns b.Obs.Trace.ts_ns > 0
                     then
                       T2.fail_reportf
-                        "domain %d buffer not monotonically timestamped" tid;
+                        "domain %d journal not monotonically timestamped" tid;
                     monotone (b :: rest)
                 | _ -> ()
               in
-              monotone evs)
-            (Obs.Journal.events_by_domain ());
+              monotone
+                (List.filter
+                   (fun (e : Obs.Trace.event) -> e.Obs.Trace.cat = "journal")
+                   evs))
+            (Obs.Trace.events_by_domain ());
           true);
     }
 

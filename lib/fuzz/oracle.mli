@@ -87,9 +87,10 @@ val bounds_microblaze : t
 
 val journal_pool : t
 (** {!Obs.Journal} under {!Dse.Pool} concurrency: events recorded from
-    worker domains are complete after the merge, well-formed
-    (serializable, non-empty kinds, non-negative timestamps), and each
-    domain's buffer is monotonically timestamped. *)
+    worker domains are complete after the trace merge, well-formed
+    (serializable instants, non-empty kinds, non-negative timestamps),
+    and each domain's journal instants are monotonically timestamped
+    ({!Obs.Trace.events_by_domain}). *)
 
 val schedule_dominance : t
 (** The scheduled optimum on synthetic multi-phase models is never

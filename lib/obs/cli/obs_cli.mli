@@ -1,8 +1,8 @@
-(** The cmdliner term shared by [reconfigure], [mcc], [appinfo], and
-    [bench]: [-v]/[-vv] verbosity for [Logs], [--trace-out FILE] for
-    the Chrome trace-event export, [--metrics-out FILE] for the
-    metrics dump, [--profile-out FILE] for the sampling profiler's
-    folded-stacks table. *)
+(** The cmdliner term shared by all five binaries — [reconfigure],
+    [mcc], [appinfo], [bench] and [fuzz]: [-v]/[-vv] verbosity for
+    [Logs], [--trace-out FILE] for the Chrome trace-event export,
+    [--metrics-out FILE] for the metrics dump, [--profile-out FILE] for
+    the sampling profiler's folded-stacks table. *)
 
 type t = {
   verbosity : int;

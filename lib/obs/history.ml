@@ -43,41 +43,47 @@ let entry_of_json j =
       Ok { rev; target; time; metrics }
   | _ -> Error "history entry: rev, target and metrics object required"
 
+let write oc e =
+  output_string oc (Json.to_string (entry_to_json e) ^ "\n");
+  flush oc
+
 let append path e =
   let oc = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (Json.to_string (entry_to_json e) ^ "\n"))
+  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> write oc e)
 
 let load path =
   if not (Sys.file_exists path) then Ok []
   else
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let entries = ref [] in
-        let lineno = ref 0 in
-        let error = ref None in
-        (try
-           while !error = None do
-             let line = input_line ic in
-             incr lineno;
-             if String.trim line <> "" then
-               match Json.parse line with
-               | Error m ->
-                   error := Some (Printf.sprintf "%s:%d: %s" path !lineno m)
-               | Ok j -> (
-                   match entry_of_json j with
-                   | Ok e -> entries := e :: !entries
+    match open_in_bin path with
+    | exception Sys_error m -> Error m
+    | ic ->
+        Fun.protect
+          ~finally:(fun () -> close_in_noerr ic)
+          (fun () ->
+            let entries = ref [] in
+            let lineno = ref 0 in
+            let error = ref None in
+            (try
+               while !error = None do
+                 let line = input_line ic in
+                 incr lineno;
+                 if String.trim line <> "" then
+                   match Json.parse line with
                    | Error m ->
-                       error :=
-                         Some (Printf.sprintf "%s:%d: %s" path !lineno m))
-           done
-         with End_of_file -> ());
-        match !error with
-        | Some m -> Error m
-        | None -> Ok (List.rev !entries))
+                       error := Some (Printf.sprintf "%s:%d: %s" path !lineno m)
+                   | Ok j -> (
+                       match entry_of_json j with
+                       | Ok e -> entries := e :: !entries
+                       | Error m ->
+                           error :=
+                             Some (Printf.sprintf "%s:%d: %s" path !lineno m))
+               done
+             with
+             | End_of_file -> ()
+             | Sys_error m -> error := Some (path ^ ": " ^ m));
+            match !error with
+            | Some m -> Error m
+            | None -> Ok (List.rev !entries))
 
 (* --- regression check --- *)
 

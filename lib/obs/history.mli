@@ -17,12 +17,16 @@ type entry = {
 val entry_to_json : entry -> Json.t
 val entry_of_json : Json.t -> (entry, string) result
 
+val write : out_channel -> entry -> unit
+(** Write one JSON line to a channel and flush it. *)
+
 val append : string -> entry -> unit
 (** Append one JSON line to [path], creating the file if needed. *)
 
 val load : string -> (entry list, string) result
 (** All entries in file order; a missing file is [Ok []] (first run);
-    a malformed line is an [Error] naming the line. *)
+    an unreadable file is an [Error], and a malformed line one naming
+    the line. *)
 
 type rule = {
   metric : string;

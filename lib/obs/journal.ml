@@ -1,88 +1,26 @@
-(* Decision-provenance journal: a structured event stream recording
-   *why* the pipeline did what it did (per-candidate engine outcomes,
-   solver incumbent improvements, bound tightness), distinct from the
-   timing-oriented span/trace layer.
+(* Decision-provenance journal: a structured record of *why* the
+   pipeline did what it did (per-candidate engine outcomes, solver
+   incumbent improvements, bound tightness), kept as the "journal"
+   category of the one trace stream.  Its own switch lets a run keep
+   the journal without tracing its spans. *)
 
-   Same buffering discipline as {!Trace}: one buffer per domain (the
-   owning domain is the only writer, so appends are lock-free), a
-   mutex-protected registry of buffers, and a process-wide enabled
-   flag so disabled journalling costs one atomic load.  Timestamps
-   come from the shared monotonic clock, so each domain's buffer is
-   monotone by construction and the merged view sorts consistently.
-
-   When Chrome tracing is also enabled, every journal event is
-   mirrored into the trace as an instant event under the "journal"
-   category, so Perfetto shows decisions on the same timeline as the
-   spans that produced them. *)
-
-type event = {
-  ts_ns : int64;
-  tid : int;
-  kind : string;
-  fields : (string * Json.t) list;
-}
-
+let cat = "journal"
 let enabled_flag = Atomic.make false
 let set_enabled b = Atomic.set enabled_flag b
 let enabled () = Atomic.get enabled_flag
 
-type buffer = { tid : int; mutable items : event list }
-
-let registry : buffer list ref = ref []
-let registry_lock = Mutex.create ()
-
-let buffer_key =
-  Domain.DLS.new_key (fun () ->
-      let b = { tid = (Domain.self () :> int); items = [] } in
-      Mutex.lock registry_lock;
-      registry := b :: !registry;
-      Mutex.unlock registry_lock;
-      b)
-
 let record ~kind fields =
-  if enabled () then begin
-    let ts_ns = Clock.since_start_ns () in
-    let b = Domain.DLS.get buffer_key in
-    b.items <- { ts_ns; tid = b.tid; kind; fields } :: b.items;
-    if Trace.enabled () then
-      Trace.record
-        {
-          Trace.name = kind;
-          cat = "journal";
-          ph = Trace.Instant;
-          ts_ns;
-          dur_ns = 0L;
-          tid = b.tid;
-          args = fields;
-        }
-  end
+  if enabled () then
+    Trace.record
+      {
+        Trace.name = kind;
+        cat;
+        ph = Trace.Instant;
+        ts_ns = Clock.since_start_ns ();
+        dur_ns = 0L;
+        tid = (Domain.self () :> int);
+        args = fields;
+      }
 
-let buffers () =
-  Mutex.lock registry_lock;
-  let bs = !registry in
-  Mutex.unlock registry_lock;
-  bs
-
-let events () =
-  let all = List.concat_map (fun b -> List.rev b.items) (buffers ()) in
-  List.stable_sort (fun a b -> Int64.compare a.ts_ns b.ts_ns) all
-
-let events_by_domain () =
-  List.filter_map
-    (fun b ->
-      match List.rev b.items with [] -> None | evs -> Some (b.tid, evs))
-    (buffers ())
-
-let clear () =
-  Mutex.lock registry_lock;
-  List.iter (fun b -> b.items <- []) !registry;
-  Mutex.unlock registry_lock
-
-let to_json e =
-  Json.Obj
-    [
-      ("ts_us", Json.Float (Clock.ns_to_us e.ts_ns));
-      ("tid", Json.Int e.tid);
-      ("kind", Json.String e.kind);
-      ("fields", Json.Obj e.fields);
-    ]
+let events () = List.filter (fun e -> e.Trace.cat = cat) (Trace.events ())
+let clear () = Trace.clear ~cat ()

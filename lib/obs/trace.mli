@@ -1,4 +1,7 @@
-(** Trace-event collection with per-domain buffers.
+(** Trace-event collection with per-domain buffers: the one event
+    stream of a run.  Spans, instants and counters from {!Span}, and
+    the decision journal's instants (category ["journal"], see
+    {!Journal}), all land here.
 
     Recording is off by default; {!Span.with_} degenerates to a plain
     call when disabled, so instrumentation left in hot paths costs one
@@ -24,10 +27,16 @@ val enabled : unit -> bool
 
 val record : event -> unit
 (** Unconditionally append to the current domain's buffer (callers
-    check {!enabled}). *)
+    check {!enabled}, or {!Journal.enabled} for journal instants). *)
 
 val events : unit -> event list
-(** Merge every domain's buffer, sorted by [ts_ns] (stable). *)
+(** Merge every domain's buffer, stably sorted by [ts_ns]: events with
+    equal timestamps keep their domain's append order. *)
 
-val clear : unit -> unit
-(** Drop all buffered events (for tests). *)
+val events_by_domain : unit -> (int * event list) list
+(** Per-buffer view, [(tid, events)] in append order (oldest first),
+    for invariant checks.  A complete event is appended when its span
+    ends, so only instants are monotonically timestamped per domain. *)
+
+val clear : ?cat:string -> unit -> unit
+(** Drop every buffered event, or only those of category [cat]. *)

@@ -3,9 +3,14 @@
    events all have non-negative timestamps.  Files ending in [.folded]
    are validated as folded-stacks profiles instead (lines of
    ["frame;frame;... count"], positive counts, non-empty frames; an
-   empty profile is fine — a fast run may take no samples).  Exit 0
-   iff every file passes — the @obs smoke alias runs this over a real
-   reconfigure invocation with all exporters enabled. *)
+   empty profile is fine — a fast run may take no samples).  When a
+   trace and an explain report (a JSON object with an "accounting"
+   member) are both given, they must reconcile: the trace's
+   engine-outcome journal instants, kind by kind, are the report's
+   accounting, so the two outputs of one run come from one event
+   stream.  Exit 0 iff every file passes — the @obs smoke alias runs
+   this over a real reconfigure invocation with all exporters
+   enabled. *)
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 
@@ -49,9 +54,54 @@ let check_folded path contents =
               (String.split_on_char ';' stack))
     (String.split_on_char '\n' contents)
 
+(* Journal kind of each engine outcome and its explain accounting
+   field. *)
+let outcomes =
+  [
+    ("engine.hit", "hits");
+    ("engine.build", "builds");
+    ("engine.priced", "priced");
+    ("engine.unfit", "unfit");
+    ("engine.dedup", "dedup");
+    ("engine.pruned", "pruned");
+    ("engine.infeasible", "infeasible");
+  ]
+
+let reconcile (trace_path, trace) (explain_path, explain) =
+  let events =
+    match Obs.Json.member "traceEvents" trace with
+    | Some (Obs.Json.List evs) -> evs
+    | _ -> []
+  in
+  let field k j = Option.bind (Obs.Json.member k j) Obs.Json.to_int in
+  let accounting = Obs.Json.member "accounting" explain in
+  let account k =
+    match Option.bind accounting (field k) with
+    | Some n -> n
+    | None -> fail "%s: accounting.%s missing" explain_path k
+  in
+  let is_s k v ev = Obs.Json.member k ev = Some (Obs.Json.String v) in
+  let total =
+    List.fold_left
+      (fun total (kind, k) ->
+        let instant ev =
+          is_s "cat" "journal" ev && is_s "ph" "i" ev && is_s "name" kind ev
+        in
+        let n = List.length (List.filter instant events) in
+        if n <> account k then
+          fail "%s: %d %s journal instants, but %s counts %s = %d" trace_path n
+            kind explain_path k (account k);
+        total + n)
+      0 outcomes
+  in
+  if total <> account "considered" then
+    fail "%s: %d engine-outcome journal instants, but %s considered %d"
+      trace_path total explain_path (account "considered")
+
 let () =
   let files = List.tl (Array.to_list Sys.argv) in
   if files = [] then fail "usage: check_json FILE...";
+  let traces = ref [] and explains = ref [] in
   List.iter
     (fun path ->
       if Filename.check_suffix path ".folded" then begin
@@ -63,5 +113,14 @@ let () =
         | Error m -> fail "%s: invalid JSON: %s" path m
         | Ok json ->
             check_trace path json;
+            if Obs.Json.member "traceEvents" json <> None then
+              traces := (path, json) :: !traces;
+            if Obs.Json.member "accounting" json <> None then
+              explains := (path, json) :: !explains;
             Printf.printf "%s: ok\n" path)
-    files
+    files;
+  match (!traces, !explains) with
+  | [ trace ], [ explain ] ->
+      reconcile trace explain;
+      Printf.printf "%s reconciles with %s\n" (fst trace) (fst explain)
+  | _ -> ()

@@ -52,11 +52,11 @@ let built_once label f =
     exit 1);
   let built =
     List.filter_map
-      (fun (e : Obs.Journal.event) ->
-        if e.Obs.Journal.kind <> "engine.build" then None
+      (fun (e : Obs.Trace.event) ->
+        if e.Obs.Trace.name <> "engine.build" then None
         else
           let field k =
-            match List.assoc_opt k e.Obs.Journal.fields with
+            match List.assoc_opt k e.Obs.Trace.args with
             | Some (Obs.Json.String s) -> s
             | _ -> "?"
           in

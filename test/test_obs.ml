@@ -1,8 +1,9 @@
 (* Observability layer: JSON round-trips, the metrics registry under
    domain contention, the Chrome trace-event export format (golden
    structure: stable field order, non-negative monotonic timestamps,
-   properly nested complete events), and the simulator profiler's
-   structural invariants. *)
+   properly nested complete events), the decision journal as the
+   trace's "journal" category, and the simulator profiler's structural
+   invariants. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -145,6 +146,8 @@ let with_tracing f =
   Obs.Trace.set_enabled true;
   Fun.protect ~finally:(fun () -> Obs.Trace.set_enabled false) f
 
+let names evs = List.map (fun (e : Obs.Trace.event) -> e.Obs.Trace.name) evs
+
 let record_sample_spans () =
   Obs.Span.with_ ~cat:"test" "root" (fun () ->
       Obs.Span.with_ ~cat:"test" "child"
@@ -266,6 +269,25 @@ let test_trace_across_domains () =
               (List.map (fun (e : Obs.Trace.event) -> e.Obs.Trace.tid) spans))
         > 1))
 
+let test_trace_equal_ts_append_order () =
+  with_tracing (fun () ->
+      let at name =
+        {
+          Obs.Trace.name;
+          cat = "test";
+          ph = Obs.Trace.Instant;
+          ts_ns = 42L;
+          dur_ns = 0L;
+          tid = (Domain.self () :> int);
+          args = [];
+        }
+      in
+      Obs.Trace.record (at "first");
+      Obs.Trace.record (at "second");
+      Alcotest.(check (list string))
+        "append order" [ "first"; "second" ]
+        (names (Obs.Trace.events ())))
+
 (* --- Profiler invariants --- *)
 
 let test_profiler_invariants () =
@@ -320,7 +342,13 @@ let test_check_catches_violation () =
         (String.length m > 0
         && Str.string_match (Str.regexp ".*instructions <= cycles.*") m 0)
 
-(* --- Journal --- *)
+(* --- Journal: the "journal" category of the trace --- *)
+
+let journal_instants evs =
+  List.filter
+    (fun (e : Obs.Trace.event) ->
+      e.Obs.Trace.cat = "journal" && e.Obs.Trace.ph = Obs.Trace.Instant)
+    evs
 
 let test_journal_disabled_records_nothing () =
   Obs.Journal.clear ();
@@ -343,32 +371,30 @@ let test_journal_records_fields () =
       Obs.Journal.record ~kind:"test.second" [ ("s", Obs.Json.String "x") ];
       match Obs.Journal.events () with
       | [ a; b ] ->
-          Alcotest.(check string) "kind" "test.first" a.Obs.Journal.kind;
+          Alcotest.(check string) "kind" "test.first" a.Obs.Trace.name;
           check_bool "field kept" true
-            (a.Obs.Journal.fields = [ ("n", Obs.Json.Int 1) ]);
+            (a.Obs.Trace.args = [ ("n", Obs.Json.Int 1) ]);
           check_bool "merged order monotone" true
-            (Int64.compare a.Obs.Journal.ts_ns b.Obs.Journal.ts_ns <= 0);
-          check_bool "to_json parses" true
-            (match
-               Obs.Json.parse (Obs.Json.to_string (Obs.Journal.to_json b))
-             with
-            | Ok _ -> true
-            | Error _ -> false)
+            (Int64.compare a.Obs.Trace.ts_ns b.Obs.Trace.ts_ns <= 0);
+          check_bool "exported as a journal instant" true
+            (List.exists
+               (fun ev ->
+                 Obs.Json.member "name" ev = Some (Obs.Json.String "test.second")
+                 && Obs.Json.member "cat" ev = Some (Obs.Json.String "journal")
+                 && Obs.Json.member "ph" ev = Some (Obs.Json.String "i"))
+               (exported_events ()))
       | evs -> Alcotest.failf "expected 2 events, got %d" (List.length evs))
 
 let test_journal_mirrors_into_trace () =
   with_journal (fun () ->
       with_tracing (fun () ->
           Obs.Journal.record ~kind:"test.mirrored" [ ("n", Obs.Json.Int 7) ];
-          let mirrored =
+          let instants =
             List.filter
-              (fun (e : Obs.Trace.event) ->
-                e.Obs.Trace.name = "test.mirrored"
-                && e.Obs.Trace.cat = "journal"
-                && e.Obs.Trace.ph = Obs.Trace.Instant)
-              (Obs.Trace.events ())
+              (fun (e : Obs.Trace.event) -> e.Obs.Trace.name = "test.mirrored")
+              (journal_instants (Obs.Trace.events ()))
           in
-          check_int "one instant mirror" 1 (List.length mirrored)))
+          check_int "one journal instant in the trace" 1 (List.length instants)))
 
 let test_journal_per_domain_monotone () =
   with_journal (fun () ->
@@ -382,16 +408,41 @@ let test_journal_per_domain_monotone () =
       check_bool "map intact" true (results = [ 1; 2; 3; 4; 5; 6 ]);
       let ticks =
         List.filter
-          (fun (e : Obs.Journal.event) -> e.Obs.Journal.kind = "test.tick")
+          (fun (e : Obs.Trace.event) -> e.Obs.Trace.name = "test.tick")
           (Obs.Journal.events ())
       in
       check_int "no event lost" 6 (List.length ticks);
       List.iter
         (fun (_, evs) ->
-          let ts = List.map (fun (e : Obs.Journal.event) -> e.Obs.Journal.ts_ns) evs in
+          let ts =
+            List.map
+              (fun (e : Obs.Trace.event) -> e.Obs.Trace.ts_ns)
+              (journal_instants evs)
+          in
           check_bool "domain buffer monotone" true
             (List.sort Int64.compare ts = ts))
-        (Obs.Journal.events_by_domain ()))
+        (Obs.Trace.events_by_domain ()))
+
+let test_journal_clear_keeps_spans () =
+  with_journal (fun () ->
+      with_tracing (fun () ->
+          Obs.Span.with_ ~cat:"test" "kept" (fun () ->
+              Obs.Journal.record ~kind:"test.dropped" []);
+          Obs.Journal.clear ();
+          check_int "journal emptied" 0 (List.length (Obs.Journal.events ()));
+          Alcotest.(check (list string))
+            "span kept" [ "kept" ]
+            (names (Obs.Trace.events ()))))
+
+let test_journal_without_tracing () =
+  Obs.Trace.clear ();
+  with_journal (fun () ->
+      Obs.Span.with_ ~cat:"test" "untraced" (fun () ->
+          Obs.Journal.record ~kind:"test.alone" []);
+      let evs = Obs.Trace.events () in
+      Alcotest.(check (list string)) "only the journal instant" [ "test.alone" ]
+        (names evs);
+      check_bool "a journal instant" true (journal_instants evs = evs))
 
 (* --- Sampling profiler --- *)
 
@@ -589,6 +640,8 @@ let () =
             test_trace_disabled_records_nothing;
           Alcotest.test_case "spans across domains" `Quick
             test_trace_across_domains;
+          Alcotest.test_case "events keep append order on equal timestamps"
+            `Quick test_trace_equal_ts_append_order;
         ] );
       ( "journal",
         [
@@ -599,6 +652,10 @@ let () =
             test_journal_mirrors_into_trace;
           Alcotest.test_case "per-domain monotone under pool" `Quick
             test_journal_per_domain_monotone;
+          Alcotest.test_case "clearing the journal keeps spans" `Quick
+            test_journal_clear_keeps_spans;
+          Alcotest.test_case "a journal without tracing records no span"
+            `Quick test_journal_without_tracing;
         ] );
       ( "sampling",
         [
